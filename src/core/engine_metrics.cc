@@ -70,7 +70,8 @@ void MinerMetrics::PublishDelta(const MinerStats& current,
   *last = current;
 }
 
-telemetry::Gauge* RegisterBuildInfo(telemetry::MetricRegistry* registry) {
+FrontEndMetrics FrontEndMetrics::Register(
+    telemetry::MetricRegistry* registry) {
 #ifdef FCP_VERSION
   const std::string version = FCP_VERSION;
 #else
@@ -81,7 +82,38 @@ telemetry::Gauge* RegisterBuildInfo(telemetry::MetricRegistry* registry) {
       telemetry::FormatLabel("kernel", kernels::Ops().name) + "," +
       telemetry::FormatLabel("trace", trace::kCompiledIn ? "1" : "0") + "}";
   registry->GetGauge(name)->Set(1);
-  return registry->GetGauge("fcp_uptime_seconds");
+  FrontEndMetrics m;
+  m.uptime_seconds = registry->GetGauge("fcp_uptime_seconds");
+  m.pool_live_refs = registry->GetGauge("fcp_segment_pool_live_refs");
+  m.pool_hits = registry->GetGauge("fcp_segment_pool_hits_total");
+  m.pool_misses = registry->GetGauge("fcp_segment_pool_misses_total");
+  m.pool_recycled_bytes =
+      registry->GetGauge("fcp_segment_pool_recycled_bytes_total");
+  m.pool_free_slabs = registry->GetGauge("fcp_segment_pool_free_slabs");
+  m.start_time = std::chrono::steady_clock::now();
+  return m;
+}
+
+void FrontEndMetrics::PublishPool(const SegmentPoolStats& pool) const {
+  pool_live_refs->Set(static_cast<int64_t>(pool.live));
+  pool_hits->Set(static_cast<int64_t>(pool.pool_hits));
+  pool_misses->Set(static_cast<int64_t>(pool.slab_allocs));
+  pool_recycled_bytes->Set(static_cast<int64_t>(pool.recycled_bytes));
+  pool_free_slabs->Set(static_cast<int64_t>(pool.free));
+}
+
+void FrontEndMetrics::PublishUptime() const {
+  uptime_seconds->Set(std::chrono::duration_cast<std::chrono::seconds>(
+                          std::chrono::steady_clock::now() - start_time)
+                          .count());
+}
+
+void AppendPoolStatusJson(const SegmentPoolStats& pool, std::string* out) {
+  *out += ",\"pool\":{\"live_refs\":" + std::to_string(pool.live) +
+          ",\"free_slabs\":" + std::to_string(pool.free) +
+          ",\"hits\":" + std::to_string(pool.pool_hits) +
+          ",\"misses\":" + std::to_string(pool.slab_allocs) +
+          ",\"recycled_bytes\":" + std::to_string(pool.recycled_bytes) + "}";
 }
 
 void MinerMetrics::PublishIntrospection(const MinerIntrospection& view) const {

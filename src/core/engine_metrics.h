@@ -12,9 +12,11 @@
 #ifndef FCP_CORE_ENGINE_METRICS_H_
 #define FCP_CORE_ENGINE_METRICS_H_
 
+#include <chrono>
 #include <string>
 
 #include "core/miner.h"
+#include "stream/segment_ref.h"
 #include "telemetry/registry.h"
 
 namespace fcp {
@@ -55,14 +57,41 @@ struct MinerMetrics {
   void PublishIntrospection(const MinerIntrospection& view) const;
 };
 
-/// Registers the process identity metrics every engine exports
-/// (DESIGN.md §2.8): `fcp_build_info{version=...,kernel=...,trace=...} = 1`
-/// — the standard Prometheus idiom of a constant-1 gauge whose labels carry
-/// the build facts (version string, active kernel dispatch level, whether
-/// the flight recorder is compiled in) — and `fcp_uptime_seconds`, whose
-/// gauge is returned so the caller can refresh it on snapshot/scrape.
-/// Idempotent per registry (re-registration rebinds the same metrics).
-telemetry::Gauge* RegisterBuildInfo(telemetry::MetricRegistry* registry);
+/// The front-end metrics both engines export: process identity
+/// (DESIGN.md §2.8) and the occupancy of the SegmentPool their StreamMux
+/// builds segments in.
+///
+/// Identity is `fcp_build_info{version=...,kernel=...,trace=...} = 1` — the
+/// standard Prometheus idiom of a constant-1 gauge whose labels carry the
+/// build facts (version string, active kernel dispatch level, whether the
+/// flight recorder is compiled in) — plus `fcp_uptime_seconds`. The pool
+/// gauges are `fcp_segment_pool_{live_refs,hits_total,misses_total,
+/// recycled_bytes_total,free_slabs}`. Publishing is relaxed stores only and
+/// thread-safe.
+struct FrontEndMetrics {
+  telemetry::Gauge* uptime_seconds = nullptr;
+  telemetry::Gauge* pool_live_refs = nullptr;
+  telemetry::Gauge* pool_hits = nullptr;
+  telemetry::Gauge* pool_misses = nullptr;
+  telemetry::Gauge* pool_recycled_bytes = nullptr;
+  telemetry::Gauge* pool_free_slabs = nullptr;
+  /// Engine construction time, behind fcp_uptime_seconds.
+  std::chrono::steady_clock::time_point start_time;
+
+  /// Registers (or re-binds) the metric set, sets fcp_build_info and starts
+  /// the uptime clock. Allocates; call once at construction time.
+  static FrontEndMetrics Register(telemetry::MetricRegistry* registry);
+
+  /// Publishes a pool stats snapshot into the fcp_segment_pool_* gauges.
+  void PublishPool(const SegmentPoolStats& pool) const;
+
+  /// Publishes the seconds since Register() into fcp_uptime_seconds.
+  void PublishUptime() const;
+};
+
+/// Appends the /statusz `,"pool":{...}` member for `pool` to a JSON object
+/// under construction.
+void AppendPoolStatusJson(const SegmentPoolStats& pool, std::string* out);
 
 }  // namespace fcp
 

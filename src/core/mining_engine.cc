@@ -27,16 +27,9 @@ MiningEngine::MiningEngine(MinerKind kind, const MiningParams& params,
       registry_->GetCounter("fcp_segments_completed_total");
   fcps_accepted_ = registry_->GetCounter("fcp_fcps_accepted_total");
   mine_latency_us_ = registry_->GetHistogram("fcp_segment_mine_latency_us");
-  pool_live_refs_ = registry_->GetGauge("fcp_segment_pool_live_refs");
-  pool_hits_ = registry_->GetGauge("fcp_segment_pool_hits_total");
-  pool_misses_ = registry_->GetGauge("fcp_segment_pool_misses_total");
-  pool_recycled_bytes_ =
-      registry_->GetGauge("fcp_segment_pool_recycled_bytes_total");
-  pool_free_slabs_ = registry_->GetGauge("fcp_segment_pool_free_slabs");
+  front_end_metrics_ = FrontEndMetrics::Register(registry_);
   open_windows_gauge_ = registry_->GetGauge("fcp_open_windows");
   streams_seen_gauge_ = registry_->GetGauge("fcp_streams_seen");
-  uptime_seconds_ = RegisterBuildInfo(registry_);
-  start_time_ = std::chrono::steady_clock::now();
   if (options.watchdog != nullptr) {
     // No depth probe: the serial engine has no input queue — the caller's
     // thread IS the pipeline, so only the busy-and-silent predicate applies.
@@ -47,13 +40,10 @@ MiningEngine::MiningEngine(MinerKind kind, const MiningParams& params,
 void MiningEngine::RefreshGauges() const {
   open_windows_gauge_->Set(mux_.open_windows());
   streams_seen_gauge_->Set(mux_.streams_seen());
-  uptime_seconds_->Set(std::chrono::duration_cast<std::chrono::seconds>(
-                           std::chrono::steady_clock::now() - start_time_)
-                           .count());
+  front_end_metrics_.PublishUptime();
 }
 
 std::string MiningEngine::StatusJson() const {
-  const SegmentPoolStats pool = mux_.pool().stats();
   std::string out = "{\"engine\":\"serial\"";
   out += ",\"streams_seen\":" + std::to_string(mux_.streams_seen());
   out += ",\"open_windows\":" + std::to_string(mux_.open_windows());
@@ -61,11 +51,7 @@ std::string MiningEngine::StatusJson() const {
   out += ",\"segments_completed\":" +
          std::to_string(segments_completed_metric_->Value());
   out += ",\"fcps_accepted\":" + std::to_string(fcps_accepted_->Value());
-  out += ",\"pool\":{\"live_refs\":" + std::to_string(pool.live) +
-         ",\"free_slabs\":" + std::to_string(pool.free) +
-         ",\"hits\":" + std::to_string(pool.pool_hits) +
-         ",\"misses\":" + std::to_string(pool.slab_allocs) +
-         ",\"recycled_bytes\":" + std::to_string(pool.recycled_bytes) + "}";
+  AppendPoolStatusJson(mux_.pool().stats(), &out);
   out += "}";
   return out;
 }
@@ -146,12 +132,7 @@ std::vector<Fcp> MiningEngine::ProcessSegments(
     miner_metrics_.PublishDelta(miner_->stats(), &published_stats_);
     miner_metrics_.PublishIntrospection(miner_->Introspect());
     fcps_accepted_->Increment(accepted.size());
-    const SegmentPoolStats pool = mux_.pool()->stats();
-    pool_live_refs_->Set(static_cast<int64_t>(pool.live));
-    pool_hits_->Set(static_cast<int64_t>(pool.pool_hits));
-    pool_misses_->Set(static_cast<int64_t>(pool.slab_allocs));
-    pool_recycled_bytes_->Set(static_cast<int64_t>(pool.recycled_bytes));
-    pool_free_slabs_->Set(static_cast<int64_t>(pool.free));
+    front_end_metrics_.PublishPool(mux_.pool()->stats());
   }
   if (heartbeat_ != nullptr) {
     // One beat per ingest call: between calls the caller owns the thread,

@@ -12,7 +12,6 @@
 #ifndef FCP_CORE_MINING_ENGINE_H_
 #define FCP_CORE_MINING_ENGINE_H_
 
-#include <chrono>
 #include <memory>
 #include <span>
 #include <string>
@@ -127,16 +126,10 @@ class MiningEngine {
   telemetry::Counter* segments_completed_metric_ = nullptr;
   telemetry::Counter* fcps_accepted_ = nullptr;
   telemetry::LatencyHistogram* mine_latency_us_ = nullptr;
-  // Segment-pool observability (fcp_segment_pool_*), refreshed per batch.
-  telemetry::Gauge* pool_live_refs_ = nullptr;
-  telemetry::Gauge* pool_hits_ = nullptr;
-  telemetry::Gauge* pool_misses_ = nullptr;
-  telemetry::Gauge* pool_recycled_bytes_ = nullptr;
-  telemetry::Gauge* pool_free_slabs_ = nullptr;
+  /// Build info, uptime and the pool gauges (refreshed per batch).
+  FrontEndMetrics front_end_metrics_;
   telemetry::Gauge* open_windows_gauge_ = nullptr;
   telemetry::Gauge* streams_seen_gauge_ = nullptr;
-  telemetry::Gauge* uptime_seconds_ = nullptr;
-  std::chrono::steady_clock::time_point start_time_;
   obs::StageHeartbeat* heartbeat_ = nullptr;  ///< null without a watchdog
 };
 

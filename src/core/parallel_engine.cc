@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdio>
 #include <string>
-#include <unordered_map>
 
 #include "common/check.h"
 #include "core/slow_op.h"
@@ -21,14 +20,10 @@ int64_t SteadyNowNs() {
       .count();
 }
 
-/// Trace-flow id for a worker-local (pre-relabel) segment. Worker scratch
-/// ids restart at 1 in every worker AND collide with the merge thread's
-/// final global ids, so the worker index is folded into the top bits; the
-/// merge thread recomputes the same id from (worker, head->id()) to stitch
-/// the worker->merge hop without shipping extra state through the queue.
-inline uint64_t WorkerFlowId(uint32_t worker_index, uint64_t scratch_id) {
-  return (static_cast<uint64_t>(worker_index + 1) << 48) | scratch_id;
-}
+/// PushBatch segments and routes a large batch in slices of this many
+/// events, so the shards start mining while the rest of the batch is still
+/// being segmented and at most one slice's segments wait on this thread.
+constexpr size_t kPushBatchSlice = 256;
 
 }  // namespace
 
@@ -36,10 +31,19 @@ ParallelEngine::ParallelEngine(MinerKind kind, const MiningParams& params,
                                ParallelEngineOptions options)
     : params_(params),
       options_(options),
+      // Park enough free slabs to refill every shard queue after the
+      // pipeline drains, so filling the queues again reuses them instead of
+      // missing the pool (single-object segments reach one shard each, so
+      // the queues alone can hold S * capacity distinct segments).
+      segment_pool_(std::max(SegmentPool::kDefaultMaxFreePerClass,
+                             options.num_miner_shards *
+                                     options.shard_queue_capacity +
+                                 kPushBatchSlice)),
+      mux_(params.xi, &segment_pool_),
       collector_(options.suppression_window),
       publish_(options.publish_metrics) {
   FCP_CHECK(params.Validate().ok());
-  FCP_CHECK(options.num_workers >= 1);
+  FCP_CHECK(options.num_workers == 1);
   FCP_CHECK(options.num_miner_shards >= 1);
   const uint32_t num_shards = options_.num_miner_shards;
   ShardRouterOptions router_options;
@@ -68,29 +72,10 @@ ParallelEngine::ParallelEngine(MinerKind kind, const MiningParams& params,
       shard_runtime_.back()->active_placement = options_.placement;
     }
   }
-  workers_.resize(options_.num_workers);
-  for (uint32_t w = 0; w < options_.num_workers; ++w) {
-    // Off-CPU wait tags: consumer-side waits name the stage that is
-    // starved, producer-side waits name the backpressure source.
-    workers_[w].events =
-        std::make_unique<BoundedQueue<ObjectEvent>>(
-            options_.event_queue_capacity, "worker/events-empty",
-            "ingest/events-full");
-    segments_.push_back(std::make_unique<BoundedQueue<SegmentRef>>(
-        options_.segment_queue_capacity, "merge/segments-empty",
-        "worker/segments-full"));
-  }
   RegisterMetrics();
   RegisterWatchdogStages();
-  // Start consumers before producers so segment production never deadlocks
-  // on a full queue with nobody draining it: shards first, then the merge,
-  // then the workers.
   for (uint32_t s = 0; s < num_shards; ++s) {
     shard_threads_.emplace_back([this, s] { ShardLoop(s); });
-  }
-  merge_thread_ = std::thread([this] { MergeLoop(); });
-  for (uint32_t w = 0; w < options_.num_workers; ++w) {
-    workers_[w].thread = std::thread([this, w] { WorkerLoop(w); });
   }
 }
 
@@ -106,8 +91,6 @@ void ParallelEngine::RegisterMetrics() {
   events_ingested_ = registry_->GetCounter("fcp_events_ingested_total");
   segments_completed_metric_ =
       registry_->GetCounter("fcp_segments_completed_total");
-  merge_stalls_ = registry_->GetCounter("fcp_merge_stalls_total");
-  watermark_lag_ms_ = registry_->GetGauge("fcp_watermark_lag_ms");
   rebalance_rounds_ = registry_->GetCounter("fcp_rebalance_rounds_total");
   migrations_ = registry_->GetCounter("fcp_migrations_total");
   backfill_deliveries_ =
@@ -119,14 +102,7 @@ void ParallelEngine::RegisterMetrics() {
   imbalance_permille_ =
       registry_->GetGauge("fcp_shard_load_imbalance_permille");
   migration_latency_us_ = registry_->GetHistogram("fcp_migration_latency_us");
-  pool_live_refs_ = registry_->GetGauge("fcp_segment_pool_live_refs");
-  pool_hits_ = registry_->GetGauge("fcp_segment_pool_hits_total");
-  pool_misses_ = registry_->GetGauge("fcp_segment_pool_misses_total");
-  pool_recycled_bytes_ =
-      registry_->GetGauge("fcp_segment_pool_recycled_bytes_total");
-  pool_free_slabs_ = registry_->GetGauge("fcp_segment_pool_free_slabs");
-  uptime_seconds_ = RegisterBuildInfo(registry_);
-  start_time_ = std::chrono::steady_clock::now();
+  front_end_metrics_ = FrontEndMetrics::Register(registry_);
   shard_telemetry_.resize(options_.num_miner_shards);
   for (uint32_t s = 0; s < options_.num_miner_shards; ++s) {
     const std::string label =
@@ -144,21 +120,6 @@ void ParallelEngine::RegisterMetrics() {
     t.watermark_lag_ms =
         registry_->GetGauge("fcp_shard_watermark_lag_ms{" + label + "}");
   }
-  worker_telemetry_.resize(options_.num_workers);
-  for (uint32_t w = 0; w < options_.num_workers; ++w) {
-    const std::string label =
-        telemetry::FormatLabel("worker", std::to_string(w));
-    WorkerTelemetry& t = worker_telemetry_[w];
-    t.event_queue_depth =
-        registry_->GetGauge("fcp_event_queue_depth{" + label + "}");
-    t.event_queue_high_watermark =
-        registry_->GetGauge("fcp_event_queue_high_watermark{" + label + "}");
-    t.segment_queue_depth =
-        registry_->GetGauge("fcp_segment_queue_depth{" + label + "}");
-    t.segment_queue_high_watermark =
-        registry_->GetGauge("fcp_segment_queue_high_watermark{" + label +
-                            "}");
-  }
 }
 
 void ParallelEngine::RegisterWatchdogStages() {
@@ -167,21 +128,9 @@ void ParallelEngine::RegisterWatchdogStages() {
   // Stage names match the trace thread names, so a stalled row in /statusz
   // points straight at the matching Perfetto track. Probes capture `this`;
   // the watchdog contract (Stop() before the engine dies) makes that safe.
-  worker_heartbeats_.resize(options_.num_workers, nullptr);
-  for (uint32_t w = 0; w < options_.num_workers; ++w) {
-    BoundedQueue<ObjectEvent>* queue = workers_[w].events.get();
-    worker_heartbeats_[w] = watchdog->RegisterStage(
-        "worker-" + std::to_string(w), [queue] { return queue->depth(); },
-        options_.event_queue_capacity);
-  }
-  merge_heartbeat_ = watchdog->RegisterStage(
-      "merge",
-      [this] {
-        size_t depth = 0;
-        for (const auto& queue : segments_) depth += queue->depth();
-        return depth;
-      },
-      options_.segment_queue_capacity * options_.num_workers);
+  // Ingest has no depth probe: as in MiningEngine, the caller's thread IS
+  // the stage, so only the busy-and-silent predicate applies.
+  ingest_heartbeat_ = watchdog->RegisterStage("ingest");
   shard_heartbeats_.resize(options_.num_miner_shards, nullptr);
   for (uint32_t s = 0; s < options_.num_miner_shards; ++s) {
     shard_heartbeats_[s] = watchdog->RegisterStage(
@@ -218,25 +167,8 @@ void ParallelEngine::RefreshGauges() {
     t.watermark_lag_ms->Set(
         (routed == kMinTimestamp || seen == kMinTimestamp) ? 0 : routed - seen);
   }
-  for (uint32_t w = 0; w < options_.num_workers; ++w) {
-    WorkerTelemetry& t = worker_telemetry_[w];
-    t.event_queue_depth->Set(
-        static_cast<int64_t>(workers_[w].events->depth()));
-    t.event_queue_high_watermark->Set(
-        static_cast<int64_t>(workers_[w].events->high_watermark()));
-    t.segment_queue_depth->Set(static_cast<int64_t>(segments_[w]->depth()));
-    t.segment_queue_high_watermark->Set(
-        static_cast<int64_t>(segments_[w]->high_watermark()));
-  }
-  const SegmentPoolStats pool = segment_pool_.stats();
-  pool_live_refs_->Set(static_cast<int64_t>(pool.live));
-  pool_hits_->Set(static_cast<int64_t>(pool.pool_hits));
-  pool_misses_->Set(static_cast<int64_t>(pool.slab_allocs));
-  pool_recycled_bytes_->Set(static_cast<int64_t>(pool.recycled_bytes));
-  pool_free_slabs_->Set(static_cast<int64_t>(pool.free));
-  uptime_seconds_->Set(std::chrono::duration_cast<std::chrono::seconds>(
-                           std::chrono::steady_clock::now() - start_time_)
-                           .count());
+  front_end_metrics_.PublishPool(segment_pool_.stats());
+  front_end_metrics_.PublishUptime();
 }
 
 std::vector<telemetry::MetricSample> ParallelEngine::SnapshotMetrics() {
@@ -246,48 +178,37 @@ std::vector<telemetry::MetricSample> ParallelEngine::SnapshotMetrics() {
 
 void ParallelEngine::Push(const ObjectEvent& event) {
   FCP_CHECK(!finished_);
-  const uint32_t w = event.stream % options_.num_workers;
-  // Lossless ingestion: block until the worker accepts the event.
-  workers_[w].events->Push(event);
+  if (ingest_heartbeat_ != nullptr) ingest_heartbeat_->MarkIdle(false);
   ++events_pushed_;
   if (publish_) events_ingested_->Increment();
+  mux_.Push(event, &completed_);
+  RouteCompleted();
+  if (ingest_heartbeat_ != nullptr) ingest_heartbeat_->MarkIdle(true);
 }
 
 void ParallelEngine::PushBatch(std::span<const ObjectEvent> events) {
   FCP_CHECK(!finished_);
-  size_t k = 0;
-  while (k < events.size()) {
-    // Hand each maximal run of same-worker events to the queue in one lock
-    // acquisition. Per-worker FIFO order is exactly what Push produces, so
-    // downstream segmentation is unchanged.
-    const uint32_t w = events[k].stream % options_.num_workers;
-    size_t run_end = k + 1;
-    while (run_end < events.size() &&
-           events[run_end].stream % options_.num_workers == w) {
-      ++run_end;
-    }
-    push_batch_scratch_.assign(events.begin() + static_cast<ptrdiff_t>(k),
-                               events.begin() + static_cast<ptrdiff_t>(run_end));
-    workers_[w].events->PushAll(&push_batch_scratch_);
-    k = run_end;
-  }
+  if (ingest_heartbeat_ != nullptr) ingest_heartbeat_->MarkIdle(false);
   events_pushed_ += events.size();
+  // One counter delta per batch — same final totals as per-event increments.
   if (publish_ && !events.empty()) events_ingested_->Increment(events.size());
+  for (size_t k = 0; k < events.size(); k += kPushBatchSlice) {
+    mux_.PushBatch(events.data() + k,
+                   std::min(kPushBatchSlice, events.size() - k), &completed_);
+    RouteCompleted();
+  }
+  if (ingest_heartbeat_ != nullptr) ingest_heartbeat_->MarkIdle(true);
 }
 
 void ParallelEngine::Finish() {
   if (finished_) return;
   finished_ = true;
-  for (Worker& worker : workers_) worker.events->Close();
-  for (Worker& worker : workers_) {
-    if (worker.thread.joinable()) worker.thread.join();
-  }
-  // All workers flushed their trailing windows before exiting; now the
-  // segment queues can be closed and drained by the merge thread.
-  for (auto& queue : segments_) queue->Close();
-  if (merge_thread_.joinable()) merge_thread_.join();
-  // The merge routed everything; close the shard queues and let the miners
-  // drain them.
+  // End of feed: flush every stream's open window in the serial engine's
+  // Flush() order, route those segments, then let the miners drain.
+  if (ingest_heartbeat_ != nullptr) ingest_heartbeat_->MarkIdle(false);
+  mux_.FlushAll(&completed_);
+  RouteCompleted();
+  if (ingest_heartbeat_ != nullptr) ingest_heartbeat_->MarkIdle(true);
   router_->Close();
   for (std::thread& thread : shard_threads_) {
     if (thread.joinable()) thread.join();
@@ -323,217 +244,61 @@ void ParallelEngine::Finish() {
   collector_.OfferAll(merged);
 }
 
-void ParallelEngine::WorkerLoop(uint32_t worker_index) {
-  char thread_name[32];
-  std::snprintf(thread_name, sizeof(thread_name), "worker-%u", worker_index);
-  trace::SetThreadName(thread_name);
-  prof::ThreadScope prof_scope(thread_name);
-  std::unordered_map<StreamId, std::unique_ptr<Segmenter>> segmenters;
-  // Worker-local scratch ids; the merge thread assigns the final, globally
-  // monotone ids in consumption order (index posting lists rely on segment
-  // ids increasing in insertion order).
-  SegmentIdGen scratch_ids;
-  std::vector<SegmentRef> completed;
-
-  BoundedQueue<SegmentRef>& out = *segments_[worker_index];
-  auto emit = [&](std::vector<SegmentRef>& batch) {
-    for (SegmentRef& segment : batch) {
-      // The span covers the push, so backpressure from a full segment queue
-      // is visible as a stretched worker/segment slice; the flow-begin is
-      // the tail of the arrow the merge thread extends.
-      const uint64_t flow = WorkerFlowId(worker_index, segment->id());
-      FCP_TRACE_SPAN_FLOW("worker/segment", flow,
-                          static_cast<uint32_t>(segment->length()));
-      FCP_TRACE_FLOW_BEGIN("segment", flow);
-      // Blocking push: backpressure without spinning. False = shutdown.
-      if (!out.Push(std::move(segment))) return;
-    }
-    batch.clear();
-  };
-
-  obs::StageHeartbeat* heartbeat =
-      worker_heartbeats_.empty() ? nullptr : worker_heartbeats_[worker_index];
-  while (true) {
-    if (heartbeat != nullptr) heartbeat->MarkIdle(true);
-    auto event = workers_[worker_index].events->Pop();
-    if (!event) break;
-    if (heartbeat != nullptr) heartbeat->MarkIdle(false);
-    auto it = segmenters.find(event->stream);
-    if (it == segmenters.end()) {
-      it = segmenters
-               .emplace(event->stream,
-                        std::make_unique<Segmenter>(event->stream, params_.xi,
-                                                    &scratch_ids,
-                                                    &segment_pool_))
-               .first;
-    }
-    completed.clear();
-    it->second->Push(event->object, event->time, &completed);
-    emit(completed);
-    if (heartbeat != nullptr) heartbeat->Beat();
-  }
-  // Queue closed: flush trailing windows.
-  completed.clear();
-  for (auto& [stream, segmenter] : segmenters) segmenter->Flush(&completed);
-  emit(completed);
-}
-
-void ParallelEngine::MergeLoop() {
-  // Merge the per-worker segment streams by end time: processing the
-  // smallest available end time keeps the mining watermark aligned with a
-  // serial run, so no worker's supporters expire early just because another
-  // worker raced ahead. A worker that stays quiet for merge_idle_timeout_us
-  // while others have segments waiting is skipped until it produces again.
-  trace::SetThreadName("merge");
-  prof::ThreadScope prof_scope("merge");
-  obs::StageHeartbeat* heartbeat = merge_heartbeat_;
-  const uint32_t n = options_.num_workers;
-  std::vector<SegmentRef> heads(n);  // null slot = no head buffered
-  std::vector<bool> exhausted(n, false);
-  SegmentIdGen final_ids;
-  uint64_t moves_published = 0;
-  uint64_t rounds_published = 0;
-  uint64_t backfills_published = 0;
-
-  while (true) {
-    // Refill empty head slots without blocking.
-    bool any_head = false;
-    bool missing_active_head = false;
-    for (uint32_t w = 0; w < n; ++w) {
-      if (exhausted[w] || heads[w]) {
-        any_head |= static_cast<bool>(heads[w]);
-        continue;
-      }
-      if (auto segment = segments_[w]->TryPop()) {
-        heads[w] = std::move(*segment);
-        any_head = true;
-      } else if (segments_[w]->closed()) {
-        // Drain anything that raced in between TryPop and closed().
-        if (auto last = segments_[w]->TryPop()) {
-          heads[w] = std::move(*last);
-          any_head = true;
-        } else {
-          exhausted[w] = true;
-        }
-      } else {
-        missing_active_head = true;
-      }
-    }
-
-    if (!any_head) {
-      bool all_exhausted = true;
-      for (uint32_t w = 0; w < n; ++w) all_exhausted &= exhausted[w];
-      if (all_exhausted) break;
-      // Nothing to merge: block on the first still-active queue until it
-      // produces, closes, or the timeout passes (then re-poll the others).
-      if (publish_) merge_stalls_->Increment();
-      if (heartbeat != nullptr) heartbeat->MarkIdle(true);
-      for (uint32_t w = 0; w < n; ++w) {
-        if (exhausted[w]) continue;
-        if (auto segment =
-                segments_[w]->PopFor(options_.merge_idle_timeout_us)) {
-          heads[w] = std::move(*segment);
-        }
-        break;
-      }
-      continue;
-    }
-    if (heartbeat != nullptr) heartbeat->MarkIdle(false);
-
-    if (missing_active_head) {
-      // Give quiet workers a bounded chance to contribute the next-smallest
-      // end time before we commit to the current minimum. Each round blocks
-      // on the quiet queues' condition variables instead of busy-sleeping.
-      int64_t waited_us = 0;
-      while (missing_active_head &&
-             waited_us < options_.merge_idle_timeout_us) {
-        missing_active_head = false;
-        for (uint32_t w = 0; w < n; ++w) {
-          if (exhausted[w] || heads[w]) continue;
-          if (auto segment = segments_[w]->PopFor(100)) {
-            heads[w] = std::move(*segment);
-          } else if (segments_[w]->closed()) {
-            exhausted[w] = true;
-          } else {
-            missing_active_head = true;
-          }
-          waited_us += 100;
-        }
-      }
-    }
-
-    // Route the head with the smallest end time.
-    uint32_t best = n;
-    for (uint32_t w = 0; w < n; ++w) {
-      if (!heads[w]) continue;
-      if (best == n || heads[w]->end_time() < heads[best]->end_time()) {
-        best = w;
-      }
-    }
-    FCP_DCHECK(best < n);
-    SegmentRef segment = std::move(heads[best]);
-    // Compute the worker-hop flow id from the scratch id BEFORE the relabel
-    // renames it; the ref is still unique here (the worker queue handed over
-    // its only reference), so the rename is race-free by construction.
-    const uint64_t worker_flow = WorkerFlowId(best, segment->id());
-    segment.RelabelId(final_ids.Next());
+void ParallelEngine::RouteCompleted() {
+  for (const SegmentRef& segment : completed_) {
     {
-      // One slice per routed segment: the flow-step receives the worker's
-      // arrow, the flow-begin (keyed by the post-relabel global id, the same
-      // id the router stamps into each delivery) fans out to every shard
-      // that mines this segment. Routing blocks on full shard queues, so
-      // shard backpressure shows up as a stretched merge/route slice.
-      FCP_TRACE_SPAN_FLOW("merge/route", segment->id(),
+      // The segment's flow began in the mux's segment_complete slice on this
+      // thread and ends in every shard slice that mines it. Routing blocks
+      // on full shard queues, so shard backpressure shows up as a stretched
+      // engine/route slice.
+      FCP_TRACE_SPAN_FLOW("engine/route", segment->id(),
                           static_cast<uint32_t>(segment->length()));
-      FCP_TRACE_FLOW_STEP("segment", worker_flow);
-      FCP_TRACE_FLOW_BEGIN("segment", segment->id());
       router_->Route(segment);
     }
-    if (rebalancer_ != nullptr) {
-      rebalancer_->ObserveSegment(*segment);
-      if (auto next = rebalancer_->MaybeRebalance(*router_)) {
-        // Migration: backfill the new owners' indexes through the delivery
-        // path, then switch routing to the successor snapshot. The span's
-        // duration is the routing-thread cost of the migration (backfill
-        // enqueues, possibly blocking on full shard queues).
-        FCP_TRACE_SPAN_FLOW("router/rebalance", next->version(),
-                            rebalancer_->stats().objects_moved);
-        Stopwatch migrate_timer;
-        router_->ApplyPlacement(std::move(next));
-        if (publish_) {
-          migration_latency_us_->Record(
-              static_cast<uint64_t>(migrate_timer.ElapsedNanos()) / 1000);
-        }
-      }
-      if (publish_) {
-        imbalance_permille_->Set(rebalancer_->imbalance_permille());
-        // Counters are monotone; publish the deltas since the last loop.
-        const RebalancerStats& rstats = rebalancer_->stats();
-        if (rstats.objects_moved > moves_published) {
-          migrations_->Increment(rstats.objects_moved - moves_published);
-          moves_published = rstats.objects_moved;
-        }
-        if (rstats.rounds_triggered > rounds_published) {
-          rebalance_rounds_->Increment(rstats.rounds_triggered -
-                                       rounds_published);
-          rounds_published = rstats.rounds_triggered;
-        }
-        const uint64_t backfills = router_->stats().backfill_deliveries;
-        if (backfills > backfills_published) {
-          backfill_deliveries_->Increment(backfills - backfills_published);
-          backfills_published = backfills;
-        }
-      }
-    }
-    ++segments_completed_;
-    if (heartbeat != nullptr) heartbeat->Beat();
+    if (rebalancer_ != nullptr) StepRebalancer(*segment);
+  }
+  segments_completed_ += completed_.size();
+  if (publish_ && !completed_.empty()) {
+    segments_completed_metric_->Increment(completed_.size());
+  }
+  completed_.clear();
+  // The ingest stage is busy inside Push/PushBatch/Finish and parked idle
+  // between calls (the caller owns the thread then, so silence is healthy).
+  if (ingest_heartbeat_ != nullptr) ingest_heartbeat_->Beat();
+}
+
+void ParallelEngine::StepRebalancer(const Segment& segment) {
+  rebalancer_->ObserveSegment(segment);
+  if (auto next = rebalancer_->MaybeRebalance(*router_)) {
+    // Migration: backfill the new owners' indexes through the delivery
+    // path, then switch routing to the successor snapshot. The span's
+    // duration is the routing-thread cost of the migration (backfill
+    // enqueues, possibly blocking on full shard queues).
+    FCP_TRACE_SPAN_FLOW("router/rebalance", next->version(),
+                        rebalancer_->stats().objects_moved);
+    Stopwatch migrate_timer;
+    router_->ApplyPlacement(std::move(next));
     if (publish_) {
-      segments_completed_metric_->Increment();
-      // How far the just-routed segment trails the stream-time watermark:
-      // nonzero when a straggler worker's older segment lands after newer
-      // data was already routed (merge-order skew).
-      watermark_lag_ms_->Set(router_->watermark() - segment->end_time());
+      migration_latency_us_->Record(
+          static_cast<uint64_t>(migrate_timer.ElapsedNanos()) / 1000);
     }
+  }
+  if (!publish_) return;
+  imbalance_permille_->Set(rebalancer_->imbalance_permille());
+  // Counters are monotone; publish the deltas since the last step.
+  const RebalancerStats& rstats = rebalancer_->stats();
+  if (rstats.objects_moved > moves_published_) {
+    migrations_->Increment(rstats.objects_moved - moves_published_);
+    moves_published_ = rstats.objects_moved;
+  }
+  if (rstats.rounds_triggered > rounds_published_) {
+    rebalance_rounds_->Increment(rstats.rounds_triggered - rounds_published_);
+    rounds_published_ = rstats.rounds_triggered;
+  }
+  const uint64_t backfills = router_->stats().backfill_deliveries;
+  if (backfills > backfills_published_) {
+    backfill_deliveries_->Increment(backfills - backfills_published_);
+    backfills_published_ = backfills;
   }
 }
 
@@ -551,7 +316,7 @@ void ParallelEngine::ProcessDelivery(uint32_t shard_index,
   }
   // Adopt the router's global watermark before mining: a shard only sees
   // the segments containing its objects, so its own max-end-time anchor
-  // can lag the merge's and would expire supporters later than a serial
+  // can lag the router's and would expire supporters later than a serial
   // run (breaking shard-count invariance of the output).
   miner.AdvanceWatermark(delivery.watermark);
   // Per-shard lag mirror + heartbeat: stolen deliveries credit the VICTIM's
@@ -578,9 +343,9 @@ void ParallelEngine::ProcessDelivery(uint32_t shard_index,
   std::vector<Fcp>& mined = runtime.mined_scratch;
   mined.clear();
   {
-    // The flow-end closes the arrow the merge thread began under the same
-    // id (the router-stamped trace_flow), tying this mine slice to the
-    // segment's route slice across the thread boundary — for stolen
+    // The flow-end closes the arrow the mux began under the same id (the
+    // router-stamped trace_flow), tying this mine slice to the segment's
+    // segment_complete slice across the thread boundary — for stolen
     // segments the arrow lands on the thief's thread track, which is how
     // migrations of *work* (not ownership) show up in the trace.
     FCP_TRACE_SPAN_FLOW(stolen ? "shard/steal" : "shard/mine",
@@ -701,19 +466,6 @@ void ParallelEngine::ShardLoop(uint32_t shard_index) {
   }
 }
 
-namespace {
-
-void AppendQueueJson(std::string* out, const char* key, size_t depth,
-                     size_t high_watermark, size_t capacity) {
-  out->append("\"");
-  out->append(key);
-  out->append("\":{\"depth\":" + std::to_string(depth) +
-              ",\"high_watermark\":" + std::to_string(high_watermark) +
-              ",\"capacity\":" + std::to_string(capacity) + "}");
-}
-
-}  // namespace
-
 std::string ParallelEngine::StatusJson() const {
   // Every field below comes from a relaxed atomic, a mutex-guarded queue
   // accessor, or the pool's locked stats snapshot — never from the plain
@@ -721,7 +473,6 @@ std::string ParallelEngine::StatusJson() const {
   // one another; each is individually coherent.
   const Timestamp watermark = router_->watermark();
   std::string out = "{\"engine\":\"parallel\"";
-  out += ",\"workers\":" + std::to_string(options_.num_workers);
   out += ",\"shards\":" + std::to_string(options_.num_miner_shards);
   out += ",\"rebalance\":";
   out += options_.rebalance ? "true" : "false";
@@ -735,12 +486,7 @@ std::string ParallelEngine::StatusJson() const {
   out += ",\"events_ingested\":" + std::to_string(events_ingested_->Value());
   out += ",\"segments_completed\":" +
          std::to_string(segments_completed_metric_->Value());
-  const SegmentPoolStats pool = segment_pool_.stats();
-  out += ",\"pool\":{\"live_refs\":" + std::to_string(pool.live) +
-         ",\"free_slabs\":" + std::to_string(pool.free) +
-         ",\"hits\":" + std::to_string(pool.pool_hits) +
-         ",\"misses\":" + std::to_string(pool.slab_allocs) +
-         ",\"recycled_bytes\":" + std::to_string(pool.recycled_bytes) + "}";
+  AppendPoolStatusJson(segment_pool_.stats(), &out);
   if (rebalancer_ != nullptr) {
     const Rebalancer::LiveStats rstats = rebalancer_->SnapshotStats();
     out += ",\"rebalancer\":{\"rounds\":" + std::to_string(rstats.rounds) +
@@ -750,29 +496,19 @@ std::string ParallelEngine::StatusJson() const {
            ",\"imbalance_permille\":" +
            std::to_string(rstats.imbalance_permille) + "}";
   }
-  out += ",\"worker_queues\":[";
-  for (uint32_t w = 0; w < options_.num_workers; ++w) {
-    if (w > 0) out += ",";
-    out += "{\"worker\":" + std::to_string(w) + ",";
-    AppendQueueJson(&out, "events", workers_[w].events->depth(),
-                    workers_[w].events->high_watermark(),
-                    options_.event_queue_capacity);
-    out += ",";
-    AppendQueueJson(&out, "segments", segments_[w]->depth(),
-                    segments_[w]->high_watermark(),
-                    options_.segment_queue_capacity);
-    out += "}";
-  }
-  out += "],\"shard_queues\":[";
+  out += ",\"shard_queues\":[";
   for (uint32_t s = 0; s < options_.num_miner_shards; ++s) {
     if (s > 0) out += ",";
     const Timestamp seen =
         shard_runtime_[s]->last_watermark.load(std::memory_order_relaxed);
     out += "{\"shard\":" + std::to_string(s) +
-           ",\"routed\":" + std::to_string(router_->routed_to(s)) + ",";
-    AppendQueueJson(&out, "deliveries", router_->queue(s).depth(),
-                    router_->queue(s).high_watermark(),
-                    options_.shard_queue_capacity);
+           ",\"routed\":" + std::to_string(router_->routed_to(s)) +
+           ",\"deliveries\":{\"depth\":" +
+           std::to_string(router_->queue(s).depth()) +
+           ",\"high_watermark\":" +
+           std::to_string(router_->queue(s).high_watermark()) +
+           ",\"capacity\":" + std::to_string(options_.shard_queue_capacity) +
+           "}";
     out += ",\"watermark_lag_ms\":" +
            std::to_string((watermark == kMinTimestamp || seen == kMinTimestamp)
                               ? 0

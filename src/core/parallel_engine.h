@@ -1,36 +1,36 @@
-// Parallel ingestion + mining: the paper's future-work direction ("extend
-// the proposed approaches ... to handle greater scales of data streams").
+// Parallel mining: the paper's future-work direction ("extend the proposed
+// approaches ... to handle greater scales of data streams").
 //
-// Segmentation is embarrassingly parallel (each stream's windows depend only
-// on that stream). Mining is a cross-stream operation, but it *object*-
-// partitions cleanly: S miner shards each own the patterns whose minimum
-// object hashes to them (see common/shard.h), and a ShardRouter multicasts
-// every completed segment to the shards owning >= 1 of its objects. Each
-// shard runs a full miner instance restricted to its owned patterns, so the
-// union of shard outputs equals the serial output exactly (every occurrence
-// of an owned pattern contains the owned minimum object, hence reaches the
-// owner).
+// Mining is a cross-stream operation, but it *object*-partitions cleanly: S
+// miner shards each own the patterns whose minimum object maps to them (see
+// common/shard.h), and a ShardRouter multicasts every completed segment to
+// the shards owning >= 1 of its objects. Each shard runs a full miner
+// instance restricted to its owned patterns, so the union of shard outputs
+// equals the serial output exactly (every occurrence of an owned pattern
+// contains the owned minimum object, hence reaches the owner).
 //
-//   Push(event) -> worker[stream % W] -> Segmenter -> segment queue
-//     -> merge thread (end-time order, global ids, watermark)
-//       -> ShardRouter -> shard[0..S-1] miner threads -> merged results
+//   Push(event) -> StreamMux (caller's thread, serial segment ids)
+//     -> ShardRouter -> shard[0..S-1] miner threads -> merged results
 //
-// Semantics: the merge thread sees segments in a valid completion order of
-// some interleaving of the input streams (workers run at their own pace), so
-// results match a serial MiningEngine run up to the watermark skew between
-// workers; with one worker they match exactly, for any shard count. Every
-// emitted FCP is sound (its supporters really co-occurred within tau).
-// Tests verify soundness against the Definition-3 checker, full recall of
-// planted ground truth, and shard-count invariance of the result multiset.
+// Segmentation runs on the calling thread through the same StreamMux front
+// end MiningEngine uses; it is the cheapest stage (~0.5% of miner time on
+// the Twitter workload), so only mining fans out to threads.
 //
-// All backpressure blocks on condition variables (BoundedQueue::Push /
-// PopFor) — no spin loops anywhere in the pipeline.
+// Semantics: exact for every configuration. The mux hands segments to the
+// router in input order with the serial engine's ids, end-of-feed flushes
+// follow the serial Flush() order, and every delivery carries the router's
+// global watermark, so for any shard count, placement, rebalancing and
+// stealing setting the accepted FCPs equal a serial MiningEngine run fed
+// PushEvent + Flush — triggers, streams and windows included.
+//
+// Backpressure: Route blocks on a full shard queue's condition variable, so
+// a slow shard stalls Push instead of buffering without bound. There are no
+// timed waits on the ingest path.
 
 #ifndef FCP_CORE_PARALLEL_ENGINE_H_
 #define FCP_CORE_PARALLEL_ENGINE_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -46,31 +46,25 @@
 #include "obs/watchdog.h"
 #include "core/miner.h"
 #include "core/result_collector.h"
-#include "stream/bounded_queue.h"
 #include "stream/rebalancer.h"
-#include "stream/segment.h"
 #include "stream/segment_ref.h"
-#include "stream/segmenter.h"
 #include "stream/shard_router.h"
+#include "stream/stream_mux.h"
 #include "telemetry/registry.h"
 
 namespace fcp {
 
-/// Configuration of the parallel front end.
+/// Configuration of the parallel pipeline.
 struct ParallelEngineOptions {
-  uint32_t num_workers = 2;
+  /// Segmentation runs on the caller's thread, so the only accepted value
+  /// is 1. Kept solely because the end-to-end benchmark
+  /// (perfbench/fcp_e2e.cc) assigns it.
+  uint32_t num_workers = 1;
   /// Miner shards: independent miner replicas partitioning the pattern
   /// space by min-object ownership. 1 = classic single miner thread.
   uint32_t num_miner_shards = 1;
-  size_t event_queue_capacity = 8192;    ///< per worker
-  size_t segment_queue_capacity = 1024;  ///< per worker, feeds the merge
   size_t shard_queue_capacity = 1024;    ///< per shard, feeds the miners
   DurationMs suppression_window = 0;     ///< ResultCollector dedup
-  /// The merge orders per-worker segment streams by end time. When some
-  /// worker has produced nothing for this long while others have segments
-  /// waiting, the merge stops waiting for it (bounds stalls on quiet
-  /// stream partitions at the cost of a little ordering skew).
-  int64_t merge_idle_timeout_us = 2000;
   /// Registry receiving the pipeline's metrics (per-shard counters labeled
   /// `{shard="s"}`); null means the engine owns a private one.
   telemetry::MetricRegistry* metrics = nullptr;
@@ -80,10 +74,10 @@ struct ParallelEngineOptions {
   /// callers (fcpmine --placement=freq) via BuildGreedyPlacement over an
   /// observation pass.
   std::shared_ptr<const PlacementMap> placement;
-  /// Live rebalancing: the merge thread closes load intervals and migrates
-  /// hot objects between shards through the router's backfill fence. The
-  /// imbalance gauge is published for S > 1 regardless; this flag only
-  /// controls whether placements actually change.
+  /// Live rebalancing: the routing thread (the caller of Push) closes load
+  /// intervals and migrates hot objects between shards through the router's
+  /// backfill fence. The imbalance gauge is published for S > 1 regardless;
+  /// this flag only controls whether placements actually change.
   bool rebalance = false;
   RebalancerOptions rebalancer;  ///< cadence/thresholds when rebalancing
   /// Work stealing: a shard thread whose queue is empty mines queued
@@ -92,19 +86,19 @@ struct ParallelEngineOptions {
   bool steal = false;
   /// Minimum victim queue depth before a steal is attempted.
   size_t steal_min_depth = 2;
-  /// Health supervision (DESIGN.md §2.8): when set, every pipeline stage
-  /// registers a heartbeat with this watchdog (worker-w, merge, shard-s)
-  /// plus the watermark-lag probe. The watchdog must outlive the engine's
-  /// threads and be Stop()ped before the engine is destroyed. Heartbeats
-  /// are single relaxed atomics — zero cost on the mining hot path, and
-  /// null leaves the pipeline exactly as instrumented as before.
+  /// Health supervision (DESIGN.md §2.8): when set, the engine registers an
+  /// "ingest" stage driven from Push/PushBatch/Finish (as MiningEngine
+  /// does), one "shard-s" stage per miner thread, and the watermark-lag
+  /// probe. The watchdog must outlive the engine's threads and be Stop()ped
+  /// before the engine is destroyed. Heartbeats are single relaxed atomics —
+  /// zero cost on the mining hot path, and null leaves the pipeline exactly
+  /// as instrumented as before.
   obs::Watchdog* watchdog = nullptr;
 };
 
 class ParallelEngine {
  public:
-  /// Starts the worker, merge and shard miner threads. `params` must
-  /// validate OK.
+  /// Starts the S shard miner threads. `params` must validate OK.
   ParallelEngine(MinerKind kind, const MiningParams& params,
                  ParallelEngineOptions options = {});
 
@@ -114,15 +108,16 @@ class ParallelEngine {
   ParallelEngine(const ParallelEngine&) = delete;
   ParallelEngine& operator=(const ParallelEngine&) = delete;
 
-  /// Routes one event to its stream's worker. Blocks (condition variable)
-  /// while that worker's queue is full — ingestion is lossless, unlike the
-  /// Fig. 8 saturation harness. Must not be called after Finish().
+  /// Segments one event on the calling thread and routes any segment it
+  /// completes to its shards. Blocks (condition variable) while a target
+  /// shard queue is full — ingestion is lossless, unlike the Fig. 8
+  /// saturation harness. Must not be called after Finish().
   void Push(const ObjectEvent& event);
 
-  /// Routes a batch of events in order. Equivalent to Push per event, but
-  /// consecutive same-worker runs are handed to the worker queue in one
-  /// lock acquisition (BoundedQueue::PushAll) and the ingestion counter
-  /// takes one delta per batch. Must not be called after Finish().
+  /// Segments and routes a batch of events in order. Same results as Push
+  /// per event, but the segmenter lookup is cached across same-stream runs
+  /// and the ingestion counter takes one delta per batch. Must not be
+  /// called after Finish().
   void PushBatch(std::span<const ObjectEvent> events);
 
   /// Flushes every open window, drains the pipeline, joins all threads and
@@ -141,14 +136,15 @@ class ParallelEngine {
   const FcpMiner& shard_miner(uint32_t shard) const {
     return *shard_miners_[shard];
   }
+  /// Routing counters, maintained by the calling thread.
   const ShardRouterStats& router_stats() const { return router_->stats(); }
 
   /// The slab pool every in-flight segment lives in (stats: pool hit rate,
   /// live refs). Thread-safe.
   const SegmentPool& segment_pool() const { return segment_pool_; }
 
-  /// Rebalancer counters + last imbalance (null when S == 1). Only safe to
-  /// read after Finish().
+  /// Rebalancer counters + last imbalance (null when S == 1). Maintained by
+  /// the calling thread.
   const Rebalancer* rebalancer() const { return rebalancer_.get(); }
 
   uint64_t segments_completed() const { return segments_completed_; }
@@ -158,16 +154,16 @@ class ParallelEngine {
   /// ParallelEngineOptions::metrics was set).
   const telemetry::MetricRegistry& metrics() const { return *registry_; }
 
-  /// Refreshes the queue-occupancy and routing gauges, then snapshots every
-  /// metric. Thread-safe; callable while the pipeline runs.
+  /// Refreshes the queue-occupancy, routing, pool and uptime gauges, then
+  /// snapshots every metric. Thread-safe; callable while the pipeline runs.
   std::vector<telemetry::MetricSample> SnapshotMetrics();
 
-  /// Pipeline topology for /statusz: shards, workers, placement version,
-  /// queue depth/high-watermark/capacity, pool occupancy, per-shard
-  /// watermark lag, rebalancer activity. Thread-safe (built entirely from
-  /// relaxed atomics and snapshot mutexes); callable while the pipeline
-  /// runs. Counter-derived fields read the published metrics, so they stay
-  /// zero when publish_metrics is off.
+  /// Pipeline topology for /statusz: shards, placement version, shard queue
+  /// depth/high-watermark/capacity, pool occupancy, per-shard watermark lag,
+  /// rebalancer activity. Thread-safe (built entirely from relaxed atomics
+  /// and snapshot mutexes); callable while the pipeline runs.
+  /// Counter-derived fields read the published metrics, so they stay zero
+  /// when publish_metrics is off.
   std::string StatusJson() const;
 
   /// Max over shards of (router watermark - shard last-processed
@@ -176,8 +172,12 @@ class ParallelEngine {
   int64_t WatermarkLagMs() const;
 
  private:
-  void WorkerLoop(uint32_t worker_index);
-  void MergeLoop();
+  /// Routes every segment in completed_ (in order), steps the rebalancer
+  /// after each, publishes the batch's counters and releases the refs.
+  void RouteCompleted();
+  /// Feeds one routed segment to the rebalancer, applies any migration it
+  /// decides on and publishes the rebalancing counters.
+  void StepRebalancer(const Segment& segment);
   void ShardLoop(uint32_t shard_index);
   /// Applies the delivery's placement snapshot, advances the watermark and
   /// mines (or index-backfills) it with shard `shard_index`'s miner. When
@@ -195,29 +195,22 @@ class ParallelEngine {
   MiningParams params_;
   ParallelEngineOptions options_;
 
-  /// Slab pool behind every segment in flight. Declared before the router,
-  /// queues and miners so it is destroyed LAST — every SegmentRef (shard
-  /// deliveries, the router's live set, merge heads) must release back into
-  /// it first (checked in ~SegmentPool).
+  /// Slab pool behind every segment in flight. Declared before the mux,
+  /// router, queues and miners so it is destroyed LAST — every SegmentRef
+  /// (shard deliveries, the router's live set, completed_) must release back
+  /// into it first (checked in ~SegmentPool).
   SegmentPool segment_pool_;
-
-  // Each worker owns an event queue and the segmenters of its streams.
-  struct Worker {
-    std::unique_ptr<BoundedQueue<ObjectEvent>> events;
-    std::thread thread;
-  };
-  std::vector<Worker> workers_;
-
-  // Per-worker segment queues; MergeLoop merges them by segment end time
-  // (aligned watermark), relabels with globally monotone ids (in place —
-  // the ref is still unique at that point), and routes through the
-  // ShardRouter to the shard miner threads.
-  std::vector<std::unique_ptr<BoundedQueue<SegmentRef>>> segments_;
-  std::thread merge_thread_;
+  /// The serial engine's segmentation front end, over segment_pool_. Used
+  /// only by the calling thread.
+  StreamMux mux_;
+  /// Segments completed by the current Push/PushBatch/Finish call, routed
+  /// and cleared before it returns.
+  std::vector<SegmentRef> completed_;
 
   std::unique_ptr<ShardRouter> router_;
-  /// Per-interval load measurement + migration decisions; owned by the
-  /// merge thread, created for S > 1 (measure-only unless options_.rebalance).
+  /// Per-interval load measurement + migration decisions; driven by the
+  /// calling thread, created for S > 1 (measure-only unless
+  /// options_.rebalance).
   std::unique_ptr<Rebalancer> rebalancer_;
   std::vector<std::unique_ptr<FcpMiner>> shard_miners_;
   std::vector<std::thread> shard_threads_;
@@ -246,7 +239,6 @@ class ParallelEngine {
   uint64_t segments_completed_ = 0;
   uint64_t events_pushed_ = 0;
   bool finished_ = false;
-  std::vector<ObjectEvent> push_batch_scratch_;  ///< PushBatch staging
 
   // Telemetry. Registration happens in the constructor before any thread
   // starts; the record paths below are relaxed atomics only. Per-shard
@@ -260,41 +252,27 @@ class ParallelEngine {
     telemetry::Gauge* queue_high_watermark = nullptr;
     telemetry::Gauge* watermark_lag_ms = nullptr;
   };
-  struct WorkerTelemetry {
-    telemetry::Gauge* event_queue_depth = nullptr;
-    telemetry::Gauge* event_queue_high_watermark = nullptr;
-    telemetry::Gauge* segment_queue_depth = nullptr;
-    telemetry::Gauge* segment_queue_high_watermark = nullptr;
-  };
   std::unique_ptr<telemetry::MetricRegistry> owned_registry_;
   telemetry::MetricRegistry* registry_ = nullptr;
   bool publish_ = true;
   telemetry::Counter* events_ingested_ = nullptr;
   telemetry::Counter* segments_completed_metric_ = nullptr;
-  telemetry::Counter* merge_stalls_ = nullptr;
-  telemetry::Gauge* watermark_lag_ms_ = nullptr;
   telemetry::Counter* rebalance_rounds_ = nullptr;
   telemetry::Counter* migrations_ = nullptr;
   telemetry::Counter* backfill_deliveries_ = nullptr;
   telemetry::Counter* segments_stolen_ = nullptr;
   telemetry::Gauge* imbalance_permille_ = nullptr;
   telemetry::LatencyHistogram* migration_latency_us_ = nullptr;
-  // Segment-pool observability (fcp_segment_pool_*), refreshed with the
-  // queue gauges.
-  telemetry::Gauge* pool_live_refs_ = nullptr;
-  telemetry::Gauge* pool_hits_ = nullptr;
-  telemetry::Gauge* pool_misses_ = nullptr;
-  telemetry::Gauge* pool_recycled_bytes_ = nullptr;
-  telemetry::Gauge* pool_free_slabs_ = nullptr;
-  telemetry::Gauge* uptime_seconds_ = nullptr;
-  /// Engine construction time, behind fcp_uptime_seconds.
-  std::chrono::steady_clock::time_point start_time_;
+  /// Build info, uptime and the pool gauges (refreshed on snapshot).
+  FrontEndMetrics front_end_metrics_;
   std::vector<ShardTelemetry> shard_telemetry_;
-  std::vector<WorkerTelemetry> worker_telemetry_;
+  // Rebalancer/router totals already published as counter deltas.
+  uint64_t moves_published_ = 0;
+  uint64_t rounds_published_ = 0;
+  uint64_t backfills_published_ = 0;
 
   // Watchdog heartbeats (null / empty when no watchdog was attached).
-  obs::StageHeartbeat* merge_heartbeat_ = nullptr;
-  std::vector<obs::StageHeartbeat*> worker_heartbeats_;
+  obs::StageHeartbeat* ingest_heartbeat_ = nullptr;
   std::vector<obs::StageHeartbeat*> shard_heartbeats_;
 };
 

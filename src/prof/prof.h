@@ -12,8 +12,7 @@
 // drop-oldest policy; it allocates nothing, takes no locks and calls no
 // library function that could.
 //
-// Off-CPU: the pipeline's block points (BoundedQueue waits, merge stalls,
-// steal idling) report their wall-clock wait time through RecordWaitNs into
+// Off-CPU: the pipeline's block points (BoundedQueue waits, steal idling) report their wall-clock wait time through RecordWaitNs into
 // per-thread tag tables; the collector renders them as `wait;<tag>` pseudo
 // stacks scaled to CPU-sample units so one folded profile shows where
 // cycles AND wall-time go.

@@ -14,9 +14,7 @@
 //
 // Threading: SegmentRef copies/destructions are thread-safe (the refcount is
 // atomic); the pool's freelists are mutex-guarded. The Segment payload is
-// immutable once shared — the single mutation, RelabelId (merge-thread
-// scratch-id -> global-id rename), is checked to happen while the refcount
-// is exactly 1.
+// immutable once built.
 
 #ifndef FCP_STREAM_SEGMENT_REF_H_
 #define FCP_STREAM_SEGMENT_REF_H_
@@ -108,15 +106,6 @@ class SegmentRef {
   }
   bool unique() const { return use_count() == 1; }
 
-  /// Renames the segment (worker scratch id -> merge-assigned global id).
-  /// Checked to run while this is the only handle — after that the payload
-  /// is immutable and may be shared across threads freely.
-  void RelabelId(SegmentId id) {
-    FCP_CHECK(slab_ != nullptr);
-    FCP_CHECK(slab_->refs.load(std::memory_order_acquire) == 1);
-    slab_->segment.set_id(id);
-  }
-
  private:
   friend class SegmentPool;
   explicit SegmentRef(internal::SegmentSlab* slab) : slab_(slab) {}
@@ -140,9 +129,11 @@ struct SegmentPoolStats {
 /// produced (checked in the destructor).
 class SegmentPool {
  public:
+  static constexpr size_t kDefaultMaxFreePerClass = 4096;
+
   /// `max_free_per_class` bounds each freelist; surplus slabs are deleted on
   /// release instead of parked.
-  explicit SegmentPool(size_t max_free_per_class = 4096);
+  explicit SegmentPool(size_t max_free_per_class = kDefaultMaxFreePerClass);
   ~SegmentPool();
 
   SegmentPool(const SegmentPool&) = delete;

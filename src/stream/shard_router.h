@@ -1,13 +1,14 @@
 // ShardRouter: multicasts completed segments to object-partitioned miner
 // shards.
 //
-// One producer (the ParallelEngine's merge thread, or a bench driver) calls
-// Route() with segments in global completion order; the router delivers each
-// segment to every shard that owns at least one of its distinct objects,
-// together with the *global* stream-time watermark at routing time. Each
-// per-shard queue is SPSC — single producer (the router caller), single
-// consumer (that shard's miner thread) — and bounded, so a slow shard exerts
-// condition-variable backpressure instead of unbounded buffering.
+// One producer (the thread calling ParallelEngine::Push, or a benchmark)
+// calls Route() with segments in global completion order; the router
+// delivers each segment to every shard that owns at least one of its
+// distinct objects, together with the *global* stream-time watermark at
+// routing time. Each per-shard queue is SPSC — single producer (the router
+// caller), single consumer (that shard's miner thread) — and bounded, so a
+// slow shard exerts condition-variable backpressure instead of unbounded
+// buffering.
 //
 // Deliveries carry SegmentRefs (segment_ref.h): the multicast, the live set
 // and every backfill replay share ONE slab per segment, so an S-way fan-out
@@ -59,8 +60,8 @@ struct ShardDelivery {
   /// thread turns (now - routed_at_ns) into the segment->discovery latency
   /// histogram (queue wait + mining).
   int64_t routed_at_ns = 0;
-  /// Trace-flow id stamped at route time (the segment's post-relabel global
-  /// id). Shard threads emit flow-end events against it so one segment's
+  /// Trace-flow id stamped at route time (the segment's id, under which the
+  /// mux began the flow). Shard threads emit flow-end events against it so one segment's
   /// journey — ingest, route, per-shard mine — renders as a connected arrow
   /// chain in Perfetto. Stamped unconditionally (one uint64 store) so the
   /// router stays independent of the recorder's enabled state.

@@ -21,7 +21,7 @@
 //
 // Event names MUST be string literals (or other static-storage strings): the
 // recorder stores the pointer, not a copy. Flow ids stitch one logical
-// operation across threads (a segment's journey worker -> merge -> shards);
+// operation across threads (a segment's journey ingest -> shards);
 // the serializer emits them as Chrome flow events so Perfetto draws arrows
 // across track boundaries.
 //
@@ -95,8 +95,8 @@ inline bool IsEnabled() {
 /// `name` must have static storage duration.
 void Emit(Phase phase, const char* name, uint64_t flow = 0, uint32_t arg = 0);
 
-/// Names the calling thread's track in the serialized trace ("shard-0",
-/// "merge", ...). Cheap and callable whether or not recording is on (the
+/// Names the calling thread's track in the serialized trace ("main",
+/// "shard-0", ...). Cheap and callable whether or not recording is on (the
 /// name is kept thread-locally and attached to the ring at registration).
 void SetThreadName(const char* name);
 

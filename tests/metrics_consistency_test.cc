@@ -1,5 +1,5 @@
 // Serial vs. sharded telemetry consistency: the same trace mined serially
-// and through the ParallelEngine (one worker, S miner shards) must agree on
+// and through the ParallelEngine (S miner shards) must agree on
 // the semantic counters — segments routed to a shard equal segments that
 // shard mined, and the shard miners' fcps_emitted sum to the serial count.
 // The telemetry registry must agree with the miners' own stats structs, so
@@ -80,10 +80,9 @@ TEST_P(MetricsConsistencyTest, SerialAndShardedAgreeOnSemanticCounters) {
       static_cast<uint64_t>(Find(serial_metrics, "fcp_index_bytes").gauge_value),
       serial.MemoryUsage());
 
-  // Sharded run: one worker makes segmentation order identical to serial
-  // (any shard count), so the semantic counters must match exactly.
+  // Sharded run: segmentation runs through the same mux as serial (any
+  // shard count), so the semantic counters must match exactly.
   ParallelEngineOptions options;
-  options.num_workers = 1;
   options.num_miner_shards = num_shards;
   ParallelEngine sharded(kind, params, options);
   for (const ObjectEvent& event : events) sharded.Push(event);
@@ -151,15 +150,10 @@ TEST(MetricsConsistencyQueueTest, QueueGaugesBoundedUnderConcurrentSampling) {
   // final snapshot must describe a fully drained pipeline.
   constexpr uint32_t kShards = 4;
   constexpr size_t kShardCapacity = 64;
-  constexpr size_t kEventCapacity = 256;
-  constexpr size_t kSegmentCapacity = 64;
   const std::vector<ObjectEvent> events = Trace();
 
   ParallelEngineOptions options;
-  options.num_workers = 2;
   options.num_miner_shards = kShards;
-  options.event_queue_capacity = kEventCapacity;
-  options.segment_queue_capacity = kSegmentCapacity;
   options.shard_queue_capacity = kShardCapacity;
   ParallelEngine engine(MinerKind::kCooMine, Params(), options);
 
@@ -199,12 +193,10 @@ TEST(MetricsConsistencyQueueTest, QueueGaugesBoundedUnderConcurrentSampling) {
         Find(samples, "fcp_segments_routed" + label).gauge_value);
   }
   EXPECT_EQ(routed_sum, engine.router_stats().deliveries);
-  for (uint32_t w = 0; w < options.num_workers; ++w) {
-    const std::string label = "{worker=\"" + std::to_string(w) + "\"}";
-    EXPECT_EQ(Find(samples, "fcp_event_queue_depth" + label).gauge_value, 0)
-        << "worker " << w;
-    EXPECT_EQ(Find(samples, "fcp_segment_queue_depth" + label).gauge_value, 0)
-        << "worker " << w;
+  // The shard queues are the pipeline's only queues: segmentation runs on
+  // the caller's thread, so no per-worker queue series exist.
+  for (const telemetry::MetricSample& sample : samples) {
+    EXPECT_EQ(sample.name.find("worker="), std::string::npos) << sample.name;
   }
 }
 
@@ -215,7 +207,6 @@ TEST(MetricsConsistencyRebalanceTest, ImbalanceGaugeMatchesRebalancerValue) {
   // Rebalancer's max/mean-per-interval computation, published verbatim.
   const std::vector<ObjectEvent> events = Trace();
   ParallelEngineOptions options;
-  options.num_workers = 1;
   options.num_miner_shards = 4;
   options.rebalancer.interval_segments = 64;  // cadence only; no moves
   ParallelEngine engine(MinerKind::kCooMine, Params(), options);
@@ -243,7 +234,6 @@ TEST(MetricsConsistencyRebalanceTest, ImbalanceGaugeMatchesRebalancerValue) {
 TEST(MetricsConsistencyRebalanceTest, MigrationCountersMirrorEngineState) {
   const std::vector<ObjectEvent> events = Trace();
   ParallelEngineOptions options;
-  options.num_workers = 1;
   options.num_miner_shards = 4;
   options.rebalance = true;
   options.rebalancer.interval_segments = 32;

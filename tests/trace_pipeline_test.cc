@@ -97,7 +97,6 @@ TEST_F(TracePipelineTest, SerialRunEmitsSpansAndCompleteFlows) {
 TEST_F(TracePipelineTest, ShardedRunConnectsFlowsAcrossThreads) {
   trace::Start(4096);
   ParallelEngineOptions options;
-  options.num_workers = 2;
   options.num_miner_shards = 4;
   ParallelEngine engine(MinerKind::kCooMine, Params(), options);
   for (const ObjectEvent& event : Trace()) engine.Push(event);
@@ -111,12 +110,11 @@ TEST_F(TracePipelineTest, ShardedRunConnectsFlowsAcrossThreads) {
   for (const trace::ParsedTraceEvent& e : events) {
     if (e.ph == 'M') thread_names.insert(e.arg_name);
   }
-  EXPECT_TRUE(thread_names.count("merge"));
-  EXPECT_TRUE(thread_names.count("worker-0"));
   EXPECT_TRUE(thread_names.count("shard-0"));
+  EXPECT_TRUE(thread_names.count("shard-3"));
 
-  // Causality: at least one flow id spans two or more threads (worker ->
-  // merge hand-off and merge -> shard delivery both cross track boundaries).
+  // Causality: at least one flow id spans two or more threads (the caller's
+  // segment_complete -> shard delivery crosses a track boundary).
   std::map<std::string, std::set<uint64_t>> flow_tids;
   for (const trace::ParsedTraceEvent& e : events) {
     if (e.ph == 's' || e.ph == 't' || e.ph == 'f') {
@@ -131,14 +129,14 @@ TEST_F(TracePipelineTest, ShardedRunConnectsFlowsAcrossThreads) {
   EXPECT_GT(cross_thread, 0u)
       << "no flow connects events across thread boundaries";
 
-  // The shard stage participates in flows: some flow-end landed on a shard
-  // thread's span ("shard/mine" begins exist).
+  // Segmentation and routing run on the caller's thread, mining on the
+  // shard threads.
   std::set<std::string> span_names;
   for (const trace::ParsedTraceEvent& e : events) {
     if (e.ph == 'B') span_names.insert(e.name);
   }
-  EXPECT_TRUE(span_names.count("worker/segment"));
-  EXPECT_TRUE(span_names.count("merge/route"));
+  EXPECT_TRUE(span_names.count("mux/segment_complete"));
+  EXPECT_TRUE(span_names.count("engine/route"));
   EXPECT_TRUE(span_names.count("shard/mine"));
 }
 
