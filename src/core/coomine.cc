@@ -198,63 +198,93 @@ void CooMine::MineFromLcps(const Segment& segment, const LcpTable& lcp,
     s.object_bits.resize(num_objects * words);
   }
 
-  const Occurrence probe_occurrence{segment.stream(), segment.start_time(),
-                                    segment.end_time()};
-
-  // Evaluates one candidate from its tidset. The popcount prefilter is
-  // exact pruning, not an approximation: popcount rows plus the probe is an
-  // upper bound on distinct supporting streams, so failing it proves the
-  // candidate infrequent without touching the rows. The kernel's
-  // early-exit-at-threshold keeps that exactness: only the boolean
-  // "popcount >= theta - 1" is consumed, never the count. On success,
-  // s.occurrences holds the supporting occurrences (probe first) and
-  // s.streams the sorted distinct stream ids.
+  // Candidate evaluation from a tidset, in two stages. The popcount
+  // prefilter is exact pruning, not an approximation: popcount rows plus
+  // the probe is an upper bound on distinct supporting streams, so failing
+  // it proves the candidate infrequent without touching the rows. The
+  // kernel's early-exit-at-threshold keeps that exactness: only the boolean
+  // "popcount >= theta - 1" is consumed, never the count. Survivors then
+  // count distinct streams over the supporting rows, as far as the result
+  // needs (see reaches_theta and collect_support).
   const kernels::KernelOps& ops = kernels::Ops();
   const size_t row_threshold =
       params_.theta == 0 ? 0 : static_cast<size_t>(params_.theta) - 1;
 
-  // The slow path of candidate evaluation: materialize the supporting
-  // occurrences and count distinct streams. Callers run the popcount
-  // prefilter first.
-  auto verify_streams = [&](const uint64_t* bits) -> bool {
-    s.occurrences.clear();
-    s.occurrences.push_back(probe_occurrence);
+  // Calls f(row) for every LCP row whose bit is set in `bits`.
+  auto for_each_row = [&](const uint64_t* bits, auto&& f) {
     for (size_t w = 0; w < words; ++w) {
       uint64_t word = bits[w];
       while (word != 0) {
         const size_t b = w * 64 + static_cast<size_t>(std::countr_zero(word));
         word &= word - 1;
-        const LcpTable::Row& row = lcp.rows[s.live_rows[b]];
-        s.occurrences.push_back(Occurrence{row.stream, row.start, row.end});
+        if (f(lcp.rows[s.live_rows[b]])) return;
       }
     }
+  };
+
+  // Candidates that will not be emitted only need the boolean "the probe
+  // and its supporting rows span >= theta distinct streams". Keep the
+  // (< theta) distinct streams seen so far and stop at the theta-th one.
+  auto reaches_theta = [&](const uint64_t* bits) -> bool {
     s.streams.clear();
-    for (const Occurrence& occ : s.occurrences) s.streams.push_back(occ.stream);
+    s.streams.push_back(segment.stream());
+    if (s.streams.size() >= params_.theta) return true;
+    bool reached = false;
+    for_each_row(bits, [&](const LcpTable::Row& row) {
+      if (std::find(s.streams.begin(), s.streams.end(), row.stream) !=
+          s.streams.end()) {
+        return false;
+      }
+      s.streams.push_back(row.stream);
+      reached = s.streams.size() >= params_.theta;
+      return reached;
+    });
+    return reached;
+  };
+
+  // Candidates that will be emitted materialize the sorted distinct stream
+  // list and the occurrence window (probe included) in one pass.
+  Timestamp window_start = kMaxTimestamp;
+  Timestamp window_end = kMinTimestamp;
+  auto collect_support = [&](const uint64_t* bits) -> bool {
+    s.streams.clear();
+    s.streams.push_back(segment.stream());
+    window_start = segment.start_time();
+    window_end = segment.end_time();
+    for_each_row(bits, [&](const LcpTable::Row& row) {
+      s.streams.push_back(row.stream);
+      window_start = std::min(window_start, row.start);
+      window_end = std::max(window_end, row.end);
+      return false;
+    });
     std::sort(s.streams.begin(), s.streams.end());
     s.streams.erase(std::unique(s.streams.begin(), s.streams.end()),
                     s.streams.end());
     return s.streams.size() >= params_.theta;
   };
 
-  auto evaluate = [&](const uint64_t* bits) -> bool {
-    if (!ops.popcount_atleast(bits, words, row_threshold)) return false;
-    return verify_streams(bits);
+  // The stream check after a passed prefilter: full for candidates that
+  // will be emitted, early-exit otherwise.
+  auto verify_streams = [&](const uint64_t* bits, bool emits) -> bool {
+    return emits ? collect_support(bits) : reaches_theta(bits);
+  };
+
+  auto evaluate = [&](const uint64_t* bits, bool emits) -> bool {
+    return ops.popcount_atleast(bits, words, row_threshold) &&
+           verify_streams(bits, emits);
   };
 
   // Emits the Fcp for the pattern at `idx` (object indices, `size` of them)
-  // from the evaluate() scratch. Allocation here is output, not overhead.
+  // from the collect_support() scratch. Allocation here is output, not
+  // overhead.
   auto emit = [&](const uint32_t* idx, size_t size) {
     Fcp fcp;
     fcp.objects.reserve(size);
     for (size_t i = 0; i < size; ++i) fcp.objects.push_back(s.objects[idx[i]]);
     fcp.streams.assign(s.streams.begin(), s.streams.end());
     fcp.trigger = segment.id();
-    fcp.window_start = kMaxTimestamp;
-    fcp.window_end = kMinTimestamp;
-    for (const Occurrence& occ : s.occurrences) {
-      fcp.window_start = std::min(fcp.window_start, occ.start);
-      fcp.window_end = std::max(fcp.window_end, occ.end);
-    }
+    fcp.window_start = window_start;
+    fcp.window_end = window_end;
     out->push_back(std::move(fcp));
     ++stats_.fcps_emitted;
   };
@@ -271,7 +301,8 @@ void CooMine::MineFromLcps(const Segment& segment, const LcpTable& lcp,
     bool any_owned_frequent = false;
     for (uint32_t oi = 0; oi < num_objects && !any_owned_frequent; ++oi) {
       if (!s.owned[oi]) continue;
-      any_owned_frequent = evaluate(s.object_bits.data() + oi * words);
+      any_owned_frequent =
+          evaluate(s.object_bits.data() + oi * words, /*emits=*/false);
     }
     if (!any_owned_frequent) return;
   }
@@ -287,13 +318,14 @@ void CooMine::MineFromLcps(const Segment& segment, const LcpTable& lcp,
   for (uint32_t oi = 0; oi < num_objects; ++oi) {
     ++stats_.candidates_checked;
     const uint64_t* bits = s.object_bits.data() + oi * words;
-    if (!evaluate(bits)) {
+    const bool emits = params_.min_pattern_size <= 1 && s.owned[oi];
+    if (!evaluate(bits, emits)) {
       ++stats_.candidates_pruned;
       continue;
     }
     s.level_idx.push_back(oi);
     s.level_bits.insert(s.level_bits.end(), bits, bits + words);
-    if (params_.min_pattern_size <= 1 && s.owned[oi]) emit(&oi, 1);
+    if (emits) emit(&oi, 1);
   }
 
   // Level-wise Apriori: F_k x F_k join on a shared (k-1)-prefix, subset
@@ -308,6 +340,7 @@ void CooMine::MineFromLcps(const Segment& segment, const LcpTable& lcp,
     const size_t k = level;  // current pattern size
     const size_t level_count = s.level_idx.size() / k;
     ++level;
+    const bool emits = level >= params_.min_pattern_size;
     s.next_idx.clear();
     s.next_bits.clear();
 
@@ -371,7 +404,7 @@ void CooMine::MineFromLcps(const Segment& segment, const LcpTable& lcp,
         const uint64_t* bo = s.object_bits.data() + last * words;
         if (!ops.and_popcount_atleast(bi, bo, s.cand_bits.data(), words,
                                       row_threshold) ||
-            !verify_streams(s.cand_bits.data())) {
+            !verify_streams(s.cand_bits.data(), emits)) {
           ++stats_.candidates_pruned;
           continue;
         }
@@ -379,7 +412,7 @@ void CooMine::MineFromLcps(const Segment& segment, const LcpTable& lcp,
         s.next_idx.push_back(last);
         s.next_bits.insert(s.next_bits.end(), s.cand_bits.begin(),
                            s.cand_bits.end());
-        if (level >= params_.min_pattern_size) {
+        if (emits) {
           emit(s.next_idx.data() + s.next_idx.size() - (k + 1), k + 1);
         }
       }

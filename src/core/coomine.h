@@ -10,8 +10,11 @@
 // bitset over the LCP rows (its tidset), a pattern's supporting rows are the
 // AND of its parent's bitset with the last object's bitset (carried level to
 // level), and a popcount prefilter rejects infrequent candidates before any
-// occurrence list is materialized. All per-trigger state lives in a reusable
-// MiningScratch, so steady-state AddSegment performs no heap allocations.
+// row is read. Survivors count distinct streams over their rows: a level
+// that emits nothing (pattern size < min_pattern_size) stops at the θ-th
+// distinct stream, and only emitted FCPs build the sorted stream list and
+// window. All per-trigger state lives in a reusable MiningScratch, so
+// steady-state AddSegment performs no heap allocations.
 //
 // When constructed as one shard of a sharded group (ShardSpec), the Apriori
 // pass is restricted to the patterns the shard owns: only LCP rows sharing
@@ -90,8 +93,7 @@ class CooMine : public FcpMiner {
     std::vector<uint64_t> next_bits;
     std::vector<uint64_t> cand_bits;    ///< one candidate's bitset
     std::vector<uint32_t> subset;       ///< Apriori prune scratch
-    std::vector<Occurrence> occurrences;
-    std::vector<StreamId> streams;
+    std::vector<StreamId> streams;      ///< one candidate's streams
   };
 
   /// Runs the Apriori pass of Algorithm 4 over the LCP table.

@@ -1,6 +1,7 @@
 #include "index/seg_tree.h"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 #include <unordered_map>
 
@@ -189,7 +190,7 @@ void SegTree::Insert(const Segment& segment) {
 
   // `cur` is the tail node of this segment.
   TailEntry tail_entry{segment.id(), length, segment.stream(),
-                       segment.start_time(), segment.end_time(), {}};
+                       segment.start_time(), segment.end_time(), {}, 0, 0};
   // Construction-time distinct cache: no per-insert sort+unique.
   for (ObjectId object : segment.distinct_objects()) {
     tail_entry.objects.push_back(object, object_arena_);
@@ -392,24 +393,19 @@ size_t SegTree::RemoveExpired(Timestamp now, DurationMs tau) {
 // Search (paper Algorithms 2 & 3)
 // ---------------------------------------------------------------------------
 
+template <typename Visit>
 void SegTree::CollectRelevantTails(const Node* start, Timestamp now,
                                    DurationMs tau,
-                                   std::vector<const TailEntry*>* out,
-                                   std::vector<SegmentId>* expired) const {
-  struct Item {
-    const Node* node;
-    uint32_t budget;  // how many more levels we may descend
-    uint32_t depth;   // edges from `start`
-  };
+                                   std::vector<SegmentId>* expired,
+                                   Visit&& visit) const {
   constexpr uint32_t kUnbounded = 0xffffffffu;
-  // Reused across calls to avoid per-search allocation on the hot path.
-  static thread_local std::vector<Item> queue;
+  std::vector<DfsItem>& queue = dfs_scratch_;
   queue.clear();
-  queue.push_back(Item{
+  queue.push_back(DfsItem{
       start, options_.use_distance_bound ? start->distance : kUnbounded, 0});
 
   while (!queue.empty()) {
-    const Item item = queue.back();
+    const DfsItem item = queue.back();
     queue.pop_back();
     ++stats_.distance_bound_visits;
     const Node* n = item.node;
@@ -420,7 +416,7 @@ void SegTree::CollectRelevantTails(const Node* start, Timestamp now,
         if (now - t.start > tau) {
           if (expired != nullptr) expired->push_back(t.segment);
         } else {
-          out->push_back(&t);
+          visit(t);
         }
       }
     }
@@ -428,10 +424,23 @@ void SegTree::CollectRelevantTails(const Node* start, Timestamp now,
     for (const Node* c : n->children) {
       const uint32_t child_bound =
           options_.use_distance_bound ? c->distance : kUnbounded;
-      queue.push_back(Item{c, std::min(child_bound, item.budget - 1),
-                           item.depth + 1});
+      queue.push_back(DfsItem{c, std::min(child_bound, item.budget - 1),
+                              item.depth + 1});
     }
   }
+}
+
+uint32_t SegTree::NextProbeGeneration() const {
+  if (++probe_generation_ == 0) {
+    // Wrapped: a tail last stamped 2^32 probes ago would read as visited.
+    // Clear every mark (a node holding several tails is cleared once per
+    // tail, harmlessly) and restart at 1, which no tail carries now.
+    for (const auto& [segment, node] : tail_of_) {
+      for (const TailEntry& t : node->tails) t.visit_generation = 0;
+    }
+    probe_generation_ = 1;
+  }
+  return probe_generation_;
 }
 
 std::vector<SegmentId> SegTree::RelevantSegments(ObjectId object,
@@ -440,12 +449,11 @@ std::vector<SegmentId> SegTree::RelevantSegments(ObjectId object,
   std::vector<SegmentId> result;
   Node* const* head = hlist_.Find(object);
   if (head == nullptr) return result;
-  std::vector<const TailEntry*> hits;
   for (const Node* n = *head; n != nullptr; n = n->hnext) {
-    CollectRelevantTails(n, now, tau, &hits, nullptr);
+    CollectRelevantTails(n, now, tau, nullptr, [&](const TailEntry& t) {
+      result.push_back(t.segment);
+    });
   }
-  result.reserve(hits.size());
-  for (const TailEntry* t : hits) result.push_back(t->segment);
   std::sort(result.begin(), result.end());
   result.erase(std::unique(result.begin(), result.end()), result.end());
   return result;
@@ -455,47 +463,32 @@ void SegTree::SlcpInto(const Segment& probe, Timestamp now, DurationMs tau,
                        std::vector<SegmentId>* expired, LcpTable* out,
                        const ShardSpec& shard) const {
   out->Clear();
-  // Gather (segment, probe-object) hit records, then sort and group them
-  // into one row per relevant segment. Sorting a flat hit vector is markedly
-  // faster than hash-accumulating per hit (popular objects produce
-  // thousands of hits per probe); the TailEntry pointer carries the row
-  // metadata so no registry lookups happen at all.
-  struct Hit {
-    SegmentId segment;
-    ObjectId object;
-    const TailEntry* tail;
-  };
-  static thread_local std::vector<Hit> hit_records;
-  static thread_local std::vector<const TailEntry*> hits;
-  hit_records.clear();
   // The probe's sorted distinct objects, cached at segment construction.
   const std::vector<ObjectId>& probe_objects = probe.distinct_objects();
+  // The first time this search reaches a segment's tail it stamps the tail
+  // with `generation`; any later hit on a stamped tail is the same row.
+  const uint32_t generation = NextProbeGeneration();
 
   if (!shard.IsSingleton()) {
     // Two-phase ownership-filtered search (see the header comment).
     //
     // Phase 1: the chains of the owned probe objects find every segment
     // whose common set contains >= 1 owned object — exactly the rows a
-    // shard-owned pattern can draw support from.
-    static thread_local std::vector<const TailEntry*> live;
+    // shard-owned pattern can draw support from — each listed once.
+    std::vector<const TailEntry*>& live = live_scratch_;
     live.clear();
     for (ObjectId object : probe_objects) {
       if (!shard.Owns(object)) continue;
       Node* const* head = hlist_.Find(object);
       if (head == nullptr) continue;
       for (const Node* n = *head; n != nullptr; n = n->hnext) {
-        CollectRelevantTails(n, now, tau, &live, expired);
+        CollectRelevantTails(n, now, tau, expired, [&](const TailEntry& t) {
+          if (t.visit_generation == generation) return;
+          t.visit_generation = generation;
+          live.push_back(&t);
+        });
       }
     }
-    std::sort(live.begin(), live.end(),
-              [](const TailEntry* a, const TailEntry* b) {
-                return a->segment < b->segment;
-              });
-    live.erase(std::unique(live.begin(), live.end(),
-                           [](const TailEntry* a, const TailEntry* b) {
-                             return a->segment == b->segment;
-                           }),
-               live.end());
 
     // Phase 2: reconstruct each live row's full common set (owned objects
     // alone are not enough — patterns extend past the minimum object) as
@@ -526,49 +519,52 @@ void SegTree::SlcpInto(const Segment& probe, Timestamp now, DurationMs tau,
       row.common_end = static_cast<uint32_t>(out->common_pool.size());
       out->rows.push_back(row);
     }
-    if (expired != nullptr) {
-      std::sort(expired->begin(), expired->end());
-      expired->erase(std::unique(expired->begin(), expired->end()),
-                     expired->end());
-    }
-    return;
-  }
-
-  for (ObjectId object : probe_objects) {
-    Node* const* head = hlist_.Find(object);
-    if (head == nullptr) continue;
-    hits.clear();
-    for (const Node* n = *head; n != nullptr; n = n->hnext) {
-      CollectRelevantTails(n, now, tau, &hits, expired);
-    }
-    for (const TailEntry* t : hits) {
-      hit_records.push_back(Hit{t->segment, object, t});
-    }
-  }
-  std::sort(hit_records.begin(), hit_records.end(),
-            [](const Hit& a, const Hit& b) {
-              if (a.segment != b.segment) return a.segment < b.segment;
-              return a.object < b.object;
-            });
-
-  for (size_t i = 0; i < hit_records.size();) {
-    const Hit& first = hit_records[i];
-    LcpTable::Row row;
-    row.segment = first.segment;
-    row.stream = first.tail->stream;
-    row.start = first.tail->start;
-    row.end = first.tail->end;
-    row.common_begin = static_cast<uint32_t>(out->common_pool.size());
-    while (i < hit_records.size() &&
-           hit_records[i].segment == first.segment) {
-      if (out->common_pool.size() == row.common_begin ||
-          out->common_pool.back() != hit_records[i].object) {
-        out->common_pool.push_back(hit_records[i].object);
+  } else {
+    // One row per segment, created at the segment's first hit; each hit ORs
+    // the probe-object index into the row's mask (`words` words per row).
+    // Duplicate hits — an object stored twice in a segment reaches its tail
+    // from two chain nodes — set the same bit again.
+    const size_t words = (probe_objects.size() + 63) / 64;
+    std::vector<uint64_t>& masks = row_masks_scratch_;
+    masks.clear();
+    for (size_t oi = 0; oi < probe_objects.size(); ++oi) {
+      Node* const* head = hlist_.Find(probe_objects[oi]);
+      if (head == nullptr) continue;
+      const size_t word = oi / 64;
+      const uint64_t bit = uint64_t{1} << (oi % 64);
+      for (const Node* n = *head; n != nullptr; n = n->hnext) {
+        CollectRelevantTails(n, now, tau, expired, [&](const TailEntry& t) {
+          if (t.visit_generation != generation) {
+            t.visit_generation = generation;
+            t.visit_row = static_cast<uint32_t>(out->rows.size());
+            LcpTable::Row row;
+            row.segment = t.segment;
+            row.stream = t.stream;
+            row.start = t.start;
+            row.end = t.end;
+            out->rows.push_back(row);
+            masks.resize(masks.size() + words, 0);
+          }
+          masks[t.visit_row * words + word] |= bit;
+        });
       }
-      ++i;
     }
-    row.common_end = static_cast<uint32_t>(out->common_pool.size());
-    out->rows.push_back(row);
+    // Expand each mask into the row's slice of common_pool: ascending bits
+    // are ascending probe objects, so every slice comes out sorted.
+    for (size_t r = 0; r < out->rows.size(); ++r) {
+      LcpTable::Row& row = out->rows[r];
+      row.common_begin = static_cast<uint32_t>(out->common_pool.size());
+      for (size_t w = 0; w < words; ++w) {
+        uint64_t mask = masks[r * words + w];
+        while (mask != 0) {
+          out->common_pool.push_back(
+              probe_objects[w * 64 +
+                            static_cast<size_t>(std::countr_zero(mask))]);
+          mask &= mask - 1;
+        }
+      }
+      row.common_end = static_cast<uint32_t>(out->common_pool.size());
+    }
   }
   if (expired != nullptr) {
     std::sort(expired->begin(), expired->end());

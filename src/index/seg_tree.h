@@ -155,13 +155,22 @@ class SegTree {
   /// SLCP (paper Algorithm 2) into a caller-owned reusable table: for every
   /// object of `probe`, finds all valid segments containing it via
   /// DistanceBound (Algorithm 3), and emits one row per relevant segment
-  /// with the common object set. Expired segments encountered during the
-  /// search are recorded in `expired` (if non-null) for lazy deletion by the
-  /// caller; they do not appear in the result.
+  /// with the common object set (sorted). Row order is unspecified (today:
+  /// the order the search first reaches each segment). Expired segments
+  /// encountered during the search are recorded in `expired` (if non-null,
+  /// sorted and deduplicated) for lazy deletion by the caller; they do not
+  /// appear in the result.
+  ///
+  /// Rows are grouped without sorting: the search stamps each tail entry it
+  /// reaches with the probe's generation mark and that tail's row index, and
+  /// later hits on the same segment OR their probe-object index into the
+  /// row's bitmask. The marks are `mutable` state written by this const
+  /// call, so one tree must not be searched from two threads at once.
   ///
   /// `now` anchors validity (callers pass the probe's end time). The probe
   /// itself must not be in the tree yet (mine first, insert after). `out` is
-  /// cleared first; with a warm table the call performs no allocations.
+  /// cleared first; with a warm table and a warm tree the call performs no
+  /// allocations.
   ///
   /// `shard` restricts the result to rows that can support a pattern OWNED
   /// by the shard (min-object ownership, see common/shard.h): a row is
@@ -227,6 +236,12 @@ class SegTree {
   /// Multi-line dump for debugging / the paper's Fig. 2 test.
   std::string DebugString() const;
 
+  /// Test hook: sets the probe generation counter, so tests can drive the
+  /// visit marks through their 32-bit wrap-around.
+  void SetProbeGenerationForTest(uint32_t generation) const {
+    probe_generation_ = generation;
+  }
+
  private:
   struct Node;
 
@@ -248,6 +263,11 @@ class SegTree {
     // in RemoveSegmentPath (graft moves entries by value, transferring the
     // chunk).
     PooledVec<ObjectId> objects;
+    // SLCP visit mark: the probe generation that last reached this tail and
+    // the row (serial search) it was given. Search-time scratch written by
+    // the const SlcpInto; a mark older than the current generation is stale.
+    mutable uint32_t visit_generation = 0;
+    mutable uint32_t visit_row = 0;
   };
 
   // Tlist element: completion-ordered reference to a segment (via tail_of_).
@@ -274,9 +294,21 @@ class SegTree {
   bool TryGraft(Node* subtree_root);
 
   // --- search helpers ---
+  // DistanceBound (Algorithm 3) from `start`: calls visit(tail) for every
+  // valid segment covering `start`, records expired ones in `expired`.
+  template <typename Visit>
   void CollectRelevantTails(const Node* start, Timestamp now, DurationMs tau,
-                            std::vector<const TailEntry*>* out,
-                            std::vector<SegmentId>* expired) const;
+                            std::vector<SegmentId>* expired,
+                            Visit&& visit) const;
+  // Advances probe_generation_ for a new SLCP search, clearing every visit
+  // mark when the counter wraps so no mark survives 2^32 probes.
+  uint32_t NextProbeGeneration() const;
+
+  struct DfsItem {
+    const Node* node;
+    uint32_t budget;  // how many more levels we may descend
+    uint32_t depth;   // edges from the search's start node
+  };
 
   SegTreeOptions options_;
   ObjectPool<Node> pool_;
@@ -300,6 +332,12 @@ class SegTree {
   std::vector<Node*> prefix_path_scratch_;  // prefix-match trial path
   std::vector<Node*> prefix_best_scratch_;  // prefix-match best path
   std::vector<std::pair<Node*, Node*>> graft_work_;  // TryGraft worklist
+  // Search scratch, written by the const search calls (one tree is searched
+  // by one thread at a time, whichever thread runs its miner).
+  mutable std::vector<DfsItem> dfs_scratch_;            // DistanceBound stack
+  mutable std::vector<const TailEntry*> live_scratch_;  // sharded phase 1
+  mutable std::vector<uint64_t> row_masks_scratch_;     // per-row object masks
+  mutable uint32_t probe_generation_ = 0;  // last SLCP visit mark handed out
   mutable SegTreeStats stats_;
 };
 

@@ -1,5 +1,9 @@
 #include "core/coomine.h"
 
+#include <map>
+#include <tuple>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/miner.h"
@@ -91,6 +95,83 @@ TEST(CooMineTest, MinPatternSizeFiltersOutput) {
   out.clear();
   miner.AddSegment(MakeSegment(30, 3, {m, n, p, o}, 600), &out);
   EXPECT_EQ(PatternsOf(out), (std::set<Pattern>{{m, n}, {o, p}}));
+}
+
+// Sizes 1 and 2 emit nothing here, so their candidates take the early-exit
+// stream count; only size-3 patterns build stream lists and windows.
+TEST(CooMineTest, MinPatternSizeThreeWithLowTheta) {
+  for (uint32_t theta : {1u, 2u}) {
+    SCOPED_TRACE(theta);
+    MiningParams params = Example4Params();
+    params.theta = theta;
+    params.min_pattern_size = 3;
+    CooMine miner(params);
+    std::vector<Fcp> out;
+    for (const Segment& g : PaperSegments()) miner.AddSegment(g, &out);
+    out.clear();
+    miner.AddSegment(MakeSegment(30, 3, {m, n, p, o}, 600), &out);
+
+    // Only G3 of s1 (n, c, p, o at 400) shares three probe objects.
+    std::map<Pattern, std::tuple<std::vector<StreamId>, Timestamp, Timestamp>>
+        want = {{{n, o, p}, {{1, 3}, 400, 600}}};
+    if (theta == 1) {  // the probe alone supports every subset
+      want[{m, n, o}] = {{3}, 600, 600};
+      want[{m, n, p}] = {{3}, 600, 600};
+      want[{m, o, p}] = {{3}, 600, 600};
+    }
+    std::map<Pattern, std::tuple<std::vector<StreamId>, Timestamp, Timestamp>>
+        got;
+    for (const Fcp& fcp : out) {
+      EXPECT_EQ(fcp.trigger, 30u);
+      got[fcp.objects] = {fcp.streams, fcp.window_start, fcp.window_end};
+    }
+    EXPECT_EQ(out.size(), got.size());
+    EXPECT_EQ(got, want);
+  }
+}
+
+// The early-exit count must prune exactly what the full count prunes: with
+// min_pattern_size 3 the non-emitting levels 1-2 use it, with 1 every level
+// uses the full count, and both must keep the same level stores. An exit
+// that passed an infrequent candidate would not change the output (its
+// supersets are re-checked) but shows up here as extra candidates.
+TEST(CooMineTest, EarlyExitPrunesExactlyLikeFullCount) {
+  for (uint32_t theta : {1u, 2u, 3u}) {
+    SCOPED_TRACE(theta);
+    MiningParams params = Example4Params();
+    params.theta = theta;
+    params.max_pattern_size = 4;
+    MiningParams min3 = params;
+    min3.min_pattern_size = 3;
+    CooMine full(params);
+    CooMine early(min3);
+
+    fcp::Rng rng(91 + theta);
+    Timestamp now = 0;
+    std::vector<Fcp> a, b;
+    for (SegmentId id = 0; id < 300; ++id) {
+      now += static_cast<Timestamp>(rng.Below(Minutes(1)));
+      std::vector<SegmentEntry> entries;
+      const size_t length = 1 + rng.Below(7);
+      for (size_t i = 0; i < length; ++i) {
+        entries.push_back(SegmentEntry{static_cast<ObjectId>(rng.Below(10)),
+                                       now + static_cast<Timestamp>(i)});
+      }
+      const Segment segment(id, static_cast<StreamId>(rng.Below(5)),
+                            std::move(entries));
+      a.clear();
+      b.clear();
+      full.AddSegment(segment, &a);
+      early.AddSegment(segment, &b);
+      std::erase_if(a, [](const Fcp& fcp) { return fcp.objects.size() < 3; });
+      ASSERT_EQ(testing::FullSignatures(b), testing::FullSignatures(a))
+          << "at segment " << id;
+    }
+    EXPECT_EQ(early.stats().candidates_checked,
+              full.stats().candidates_checked);
+    EXPECT_EQ(early.stats().candidates_pruned, full.stats().candidates_pruned);
+    EXPECT_GT(early.stats().fcps_emitted, 0u);
+  }
 }
 
 TEST(CooMineTest, SameStreamOccurrencesCountOnce) {

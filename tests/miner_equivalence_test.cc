@@ -3,6 +3,7 @@
 // sets) on every trigger, across random workloads and a parameter grid.
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 namespace fcp {
 namespace {
 
+using ::fcp::testing::FullSignatures;
 using ::fcp::testing::SignaturesOf;
 
 struct GridParams {
@@ -23,6 +25,9 @@ struct GridParams {
   uint32_t theta;
   DurationMs tau;
   uint32_t max_k;
+  // Levels below this size emit nothing, so CooMine checks their candidates
+  // with its early-exit distinct-stream count instead of the full one.
+  uint32_t min_size = 1;
 };
 
 // Random multi-stream segment workload: segments arrive in end-time order,
@@ -55,7 +60,7 @@ TEST_P(MinerEquivalenceTest, AllMinersAgreeOnEveryTrigger) {
   params.xi = Minutes(2);
   params.tau = grid.tau;
   params.theta = grid.theta;
-  params.min_pattern_size = 1;
+  params.min_pattern_size = grid.min_size;
   params.max_pattern_size = grid.max_k;
   ASSERT_TRUE(params.Validate().ok());
 
@@ -77,6 +82,9 @@ TEST_P(MinerEquivalenceTest, AllMinersAgreeOnEveryTrigger) {
       EXPECT_EQ(SignaturesOf(candidate), want)
           << miners[i]->name() << " disagrees with BruteForce on segment "
           << segment.DebugString();
+      EXPECT_EQ(FullSignatures(candidate), FullSignatures(reference))
+          << miners[i]->name() << " windows disagree on segment "
+          << segment.DebugString();
     }
   }
 }
@@ -90,6 +98,11 @@ std::vector<GridParams> MakeGrid() {
     // Tight tau exercises expiry; large max_k exercises deep Apriori.
     grid.push_back({seed, 2, Minutes(3), 6});
     grid.push_back({seed, 4, Minutes(30), 3});
+    for (uint32_t min_size : {2u, 3u}) {
+      for (uint32_t theta : {1u, 2u, 3u}) {
+        grid.push_back({seed, theta, Minutes(10), 4, min_size});
+      }
+    }
   }
   return grid;
 }
@@ -97,10 +110,16 @@ std::vector<GridParams> MakeGrid() {
 INSTANTIATE_TEST_SUITE_P(
     Grid, MinerEquivalenceTest, ::testing::ValuesIn(MakeGrid()),
     [](const ::testing::TestParamInfo<GridParams>& info) {
-      return "seed" + std::to_string(info.param.seed) + "_theta" +
-             std::to_string(info.param.theta) + "_tau" +
-             std::to_string(info.param.tau / Minutes(1)) + "_k" +
-             std::to_string(info.param.max_k);
+      std::string name = "seed" + std::to_string(info.param.seed) +
+                         "_theta" + std::to_string(info.param.theta) +
+                         "_tau" +
+                         std::to_string(info.param.tau / Minutes(1)) + "_k" +
+                         std::to_string(info.param.max_k);
+      if (info.param.min_size != 1) {
+        name += "_min";
+        name += std::to_string(info.param.min_size);
+      }
+      return name;
     });
 
 // Equivalence must also hold when segments come from the real segmenter over
