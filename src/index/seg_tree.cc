@@ -20,6 +20,8 @@ struct SegTree::Node {
   uint32_t distance = 0;
   // Exact number of live segments whose path contains this node.
   uint32_t count = 0;
+  // Edges from this node down to `skip` (fills what was padding).
+  uint32_t skip_len = 0;
 
   Node* parent = nullptr;
   uint32_t parent_index = 0;  // position in parent->children (swap-erase)
@@ -31,6 +33,12 @@ struct SegTree::Node {
 
   // Non-empty iff this is a tail node.
   PooledVec<TailEntry> tails;
+
+  // Unary-run skip: the first node at or below this one that has a tail or
+  // does not have exactly one child (this node itself unless it is inside a
+  // unary run). Every node strictly between the two has one child and no
+  // tail, so DistanceBound jumps straight here. nullptr once freed.
+  Node* skip = nullptr;
 };
 
 SegTree::SegTree(SegTreeOptions options)
@@ -59,6 +67,8 @@ SegTree::Node* SegTree::NewNode(ObjectId object) {
   node->parent = nullptr;
   node->parent_index = 0;
   node->hnext = node->hprev = nullptr;
+  node->skip = node;
+  node->skip_len = 0;
   FCP_DCHECK(node->children.empty() && node->tails.empty());
   return node;
 }
@@ -68,6 +78,9 @@ void SegTree::FreeNode(Node* node) {
   // whichever node next needs that capacity reuses them.
   node->children.Reset(child_arena_);
   node->tails.Reset(tail_arena_);
+  // The pool only free-lists the pointer, so a refresh later in the same
+  // mutation can tell this node is gone.
+  node->skip = nullptr;
   pool_.Release(node);
   --num_nodes_;
   ++stats_.nodes_deleted;
@@ -115,6 +128,24 @@ void SegTree::DetachChild(Node* child) {
   siblings.pop_back();
   child->parent = nullptr;
   child->parent_index = 0;
+}
+
+void SegTree::RefreshSkips(Node* m) {
+  // A node's skip depends only on its own tails and children and, inside a
+  // run, on its single child's skip; so once a node's value comes out
+  // unchanged, nothing above it can change either.
+  for (Node* n = m; n != root_; n = n->parent) {
+    Node* skip = n;
+    uint32_t skip_len = 0;
+    if (n->tails.empty() && n->children.size() == 1) {
+      const Node* c = n->children[0];
+      skip = c->skip;
+      skip_len = c->skip_len + 1;
+    }
+    if (skip == n->skip && skip_len == n->skip_len) break;
+    n->skip = skip;
+    n->skip_len = skip_len;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -196,6 +227,10 @@ void SegTree::Insert(const Segment& segment) {
     tail_entry.objects.push_back(object, object_arena_);
   }
   cur->tails.push_back(tail_entry, tail_arena_);
+  // One walk up fixes the new path and the prefix node that gained a child
+  // or the tail. A new tail node already skips to itself, so the walk starts
+  // at its parent.
+  RefreshSkips(prefix.size() < length ? cur->parent : cur);
   tail_of_.Insert(segment.id(), cur);
   registry_.Add(segment.id(),
                 SegmentInfo{segment.stream(), segment.start_time(),
@@ -230,6 +265,9 @@ void SegTree::RemoveSegmentPath(SegmentId id) {
   FCP_CHECK(te < tails.size());
   tails[te].objects.Reset(object_arena_);
   tails.erase_at(te);
+  std::vector<Node*>& dirty = skip_dirty_scratch_;
+  dirty.clear();
+  dirty.push_back(tail);
 
   // Reconstruct the segment's node path by backtracking length-1 edges.
   std::vector<Node*>& path = path_scratch_;
@@ -258,11 +296,18 @@ void SegTree::RemoveSegmentPath(SegmentId id) {
       DetachChild(c);
       ReattachSubtree(c);
     }
+    if (p->parent != root_) dirty.push_back(p->parent);
     DetachChild(p);
     UnlinkFromHlist(p);
     FreeNode(p);
   }
   path.clear();
+  // Every node whose tails or children changed is in `dirty` (graft targets
+  // included); refresh the survivors now that the shape is final.
+  for (Node* d : dirty) {
+    if (d->skip != nullptr) RefreshSkips(d);
+  }
+  dirty.clear();
 
   total_objects_ -= length;
   tail_of_.Erase(id);
@@ -330,6 +375,7 @@ bool SegTree::TryGraft(Node* subtree_root) {
     FCP_DCHECK(dst->object == src->object);
     dst->count += src->count;
     dst->distance = std::max(dst->distance, src->distance);
+    skip_dirty_scratch_.push_back(dst);
     for (const TailEntry& t : src->tails) {
       dst->tails.push_back(t, tail_arena_);
       Node** slot = tail_of_.Find(t.segment);
@@ -399,16 +445,26 @@ void SegTree::CollectRelevantTails(const Node* start, Timestamp now,
                                    std::vector<SegmentId>* expired,
                                    Visit&& visit) const {
   constexpr uint32_t kUnbounded = 0xffffffffu;
+  const bool bounded = options_.use_distance_bound;
   std::vector<DfsItem>& queue = dfs_scratch_;
   queue.clear();
-  queue.push_back(DfsItem{
-      start, options_.use_distance_bound ? start->distance : kUnbounded, 0});
+  queue.push_back(DfsItem{start, bounded ? start->distance : kUnbounded, 0});
 
   while (!queue.empty()) {
-    const DfsItem item = queue.back();
+    DfsItem item = queue.back();
     queue.pop_back();
     ++stats_.distance_bound_visits;
     const Node* n = item.node;
+    if (n->skip != n) {
+      // Jump over the unary run: its interior holds no tail. A budget short
+      // of the run's end means no tail below covers `start`. Bounding by the
+      // run's end alone (not every interior node) only weakens pruning.
+      if (item.budget < n->skip_len) continue;
+      item.depth += n->skip_len;
+      item.budget -= n->skip_len;
+      n = n->skip;
+      if (bounded) item.budget = std::min(item.budget, n->distance);
+    }
     for (const TailEntry& t : n->tails) {
       // The segment covers `start` iff `start` lies within length-1 edges
       // above the tail (Theorem 2 / Section 5.2.1).
@@ -422,8 +478,7 @@ void SegTree::CollectRelevantTails(const Node* start, Timestamp now,
     }
     if (item.budget == 0) continue;
     for (const Node* c : n->children) {
-      const uint32_t child_bound =
-          options_.use_distance_bound ? c->distance : kUnbounded;
+      const uint32_t child_bound = bounded ? c->distance : kUnbounded;
       queue.push_back(DfsItem{c, std::min(child_bound, item.budget - 1),
                               item.depth + 1});
     }
@@ -636,6 +691,13 @@ void SegTree::CheckInvariants() const {
       stack.push_back(c);
     }
     if (n != root_) {
+      // Unary-run skip: self outside a run, else the single child's target.
+      if (!n->tails.empty() || n->children.size() != 1) {
+        FCP_CHECK(n->skip == n && n->skip_len == 0);
+      } else {
+        const Node* c = n->children[0];
+        FCP_CHECK(n->skip == c->skip && n->skip_len == c->skip_len + 1);
+      }
       ++walked;
       ++object_nodes[n->object];
       expected_count[n] = 0;

@@ -15,6 +15,11 @@
 //  - Disconnected subtrees produced by deletion are re-attached under the
 //    root by default; the paper's prefix-graft is available as an option
 //    (`SegTreeOptions::graft_on_delete`) and benchmarked as an ablation.
+//  - Every node keeps a skip pointer to the end of its unary run (the first
+//    node at or below it with a tail or not exactly one child), so
+//    DistanceBound jumps over single-child chains in one step instead of
+//    popping each node; it returns the same tails (radix-trie path
+//    compression without moving objects out of the nodes).
 //
 // Hot-path memory layout (DESIGN.md §2 "Hot-path memory layout"): nodes live
 // in a slab ObjectPool; their child and tail arrays live in size-class
@@ -77,7 +82,8 @@ struct SegTreeStats {
   uint64_t prefix_nodes_shared = 0;  ///< nodes reused via prefix match
   uint64_t subtrees_reattached = 0;
   uint64_t subtrees_grafted = 0;
-  uint64_t distance_bound_visits = 0;  ///< nodes popped in DistanceBound
+  /// Nodes popped in DistanceBound; run interiors skipped are not counted.
+  uint64_t distance_bound_visits = 0;
 };
 
 /// One row of an SLCP result: an existing segment and the set of objects it
@@ -287,6 +293,9 @@ class SegTree {
   void UnlinkFromHlist(Node* node);
   void AttachChild(Node* parent, Node* child);
   void DetachChild(Node* child);
+  // Recomputes `m`'s unary-run skip from its tails and children, and then
+  // its parents', until one comes out unchanged.
+  void RefreshSkips(Node* m);
 
   // --- deletion helpers ---
   void RemoveSegmentPath(SegmentId id);
@@ -332,6 +341,9 @@ class SegTree {
   std::vector<Node*> prefix_path_scratch_;  // prefix-match trial path
   std::vector<Node*> prefix_best_scratch_;  // prefix-match best path
   std::vector<std::pair<Node*, Node*>> graft_work_;  // TryGraft worklist
+  // Nodes whose tails or children a removal changed (graft targets
+  // included); their skips are refreshed once the removal is done.
+  std::vector<Node*> skip_dirty_scratch_;
   // Search scratch, written by the const search calls (one tree is searched
   // by one thread at a time, whichever thread runs its miner).
   mutable std::vector<DfsItem> dfs_scratch_;            // DistanceBound stack

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -121,6 +122,11 @@ struct PropertyParams {
   uint64_t seed;
   bool graft;
   bool distance_bound;
+  // Workload shape: object universe, longest segment, and how many steps
+  // pass between invariant checks.
+  uint64_t universe = 15;
+  size_t max_length = 8;
+  int check_every = 20;
 };
 
 class SegTreePropertyTest
@@ -144,7 +150,8 @@ TEST_P(SegTreePropertyTest, MatchesNaiveStoreUnderRandomWorkload) {
     const uint64_t dice = rng.Below(100);
     if (dice < 55 || live.empty()) {
       // Insert.
-      const Segment segment = RandomSegment(next_id++, rng, now);
+      const Segment segment =
+          RandomSegment(next_id++, rng, now, param.universe, param.max_length);
       tree.Insert(segment);
       naive.Insert(segment);
       live.push_back(segment.id());
@@ -159,7 +166,7 @@ TEST_P(SegTreePropertyTest, MatchesNaiveStoreUnderRandomWorkload) {
       // Expiry sweep.
       EXPECT_EQ(tree.RemoveExpired(now, kTau), naive.RemoveExpired(now));
       live.clear();  // lazily rebuilt below
-      for (ObjectId o = 0; o < 15; ++o) {
+      for (ObjectId o = 0; o < param.universe; ++o) {
         for (SegmentId id : naive.RelevantSegments(o, now)) {
           live.push_back(id);
         }
@@ -168,13 +175,14 @@ TEST_P(SegTreePropertyTest, MatchesNaiveStoreUnderRandomWorkload) {
       live.erase(std::unique(live.begin(), live.end()), live.end());
     } else if (dice < 92) {
       // Point query.
-      const ObjectId object = static_cast<ObjectId>(rng.Below(15));
+      const ObjectId object = static_cast<ObjectId>(rng.Below(param.universe));
       EXPECT_EQ(tree.RelevantSegments(object, now, kTau),
                 naive.RelevantSegments(object, now))
           << "object=" << object << " step=" << step;
     } else {
       // SLCP probe.
-      const Segment probe = RandomSegment(next_id++, rng, now);
+      const Segment probe =
+          RandomSegment(next_id++, rng, now, param.universe, param.max_length);
       std::vector<SegmentId> expired;
       const auto rows = tree.Slcp(probe, now, kTau, &expired);
       std::map<SegmentId, std::vector<ObjectId>> got;
@@ -194,7 +202,7 @@ TEST_P(SegTreePropertyTest, MatchesNaiveStoreUnderRandomWorkload) {
         naive.Remove(id);
       }
     }
-    if (step % 20 == 0) tree.CheckInvariants();
+    if (step % param.check_every == 0) tree.CheckInvariants();
     EXPECT_EQ(tree.num_segments(), naive.size());
     EXPECT_EQ(tree.total_objects(), naive.total_objects());
   }
@@ -213,13 +221,35 @@ std::vector<PropertyParams> MakeParams() {
   return params;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    RandomWorkloads, SegTreePropertyTest, ::testing::ValuesIn(MakeParams()),
-    [](const ::testing::TestParamInfo<PropertyParams>& info) {
-      return "seed" + std::to_string(info.param.seed) +
-             (info.param.graft ? "_graft" : "_root") +
-             (info.param.distance_bound ? "_bound" : "_nobound");
-    });
+std::string PropertyName(
+    const ::testing::TestParamInfo<PropertyParams>& info) {
+  return "seed" + std::to_string(info.param.seed) +
+         (info.param.graft ? "_graft" : "_root") +
+         (info.param.distance_bound ? "_bound" : "_nobound");
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomWorkloads, SegTreePropertyTest,
+                         ::testing::ValuesIn(MakeParams()), PropertyName);
+
+// Long segments over a universe not much larger than them: most paths are
+// long unary runs, and a deleted prefix usually finds a branch to graft
+// onto, so the run skips are refreshed through every kind of mutation.
+// Invariants, skips included, are checked after every step.
+std::vector<PropertyParams> MakeLongRunParams() {
+  std::vector<PropertyParams> params;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    for (const bool graft : {true, false}) {
+      for (const bool distance_bound : {true, false}) {
+        params.push_back({seed, graft, distance_bound, 40, 24, 1});
+      }
+    }
+  }
+  return params;
+}
+
+INSTANTIATE_TEST_SUITE_P(LongRuns, SegTreePropertyTest,
+                         ::testing::ValuesIn(MakeLongRunParams()),
+                         PropertyName);
 
 // Wide segments over a larger universe: probes carry well over 64 distinct
 // objects, so the serial search's row masks span several words.

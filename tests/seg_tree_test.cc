@@ -414,6 +414,204 @@ TEST(SegTreeTest, SweepStopsAtFirstLiveEntry) {
   tree.CheckInvariants();
 }
 
+// --- Unary-run skips -------------------------------------------------------
+
+// Objects first, first + 1, ..., last.
+std::vector<ObjectId> Chain(ObjectId first, ObjectId last) {
+  std::vector<ObjectId> objects;
+  for (ObjectId o = first; o <= last; ++o) objects.push_back(o);
+  return objects;
+}
+
+std::vector<ObjectId> Join(std::vector<ObjectId> a,
+                           const std::vector<ObjectId>& b) {
+  a.insert(a.end(), b.begin(), b.end());
+  return a;
+}
+
+// Applies every mutation to a pruned tree and to an exhaustive twin
+// (use_distance_bound = false). After each one, checks both trees'
+// invariants (every node's skip included) and that both return the same
+// segments for every object stored so far.
+class SkipTwins {
+ public:
+  explicit SkipTwins(bool graft = true)
+      : pruned_(Options(graft, true)), exhaustive_(Options(graft, false)) {}
+
+  void Insert(SegmentId id, const std::vector<ObjectId>& objects,
+              Timestamp time) {
+    std::vector<SegmentEntry> entries;
+    for (ObjectId o : objects) entries.push_back(SegmentEntry{o, time});
+    const Segment segment(id, 1, std::move(entries));
+    pruned_.Insert(segment);
+    exhaustive_.Insert(segment);
+    objects_.insert(objects.begin(), objects.end());
+    now_ = std::max(now_, time);
+    Check();
+  }
+
+  void Remove(SegmentId id) {
+    pruned_.Remove(id);
+    exhaustive_.Remove(id);
+    Check();
+  }
+
+  size_t RemoveExpired(Timestamp now) {
+    now_ = now;
+    const size_t removed = pruned_.RemoveExpired(now, kTau);
+    EXPECT_EQ(exhaustive_.RemoveExpired(now, kTau), removed);
+    Check();
+    return removed;
+  }
+
+  std::vector<SegmentId> Relevant(ObjectId object) const {
+    return pruned_.RelevantSegments(object, now_, kTau);
+  }
+
+  // Nodes DistanceBound pops answering Relevant(object) on the pruned tree.
+  uint64_t Visits(ObjectId object) const {
+    const uint64_t before = pruned_.stats().distance_bound_visits;
+    Relevant(object);
+    return pruned_.stats().distance_bound_visits - before;
+  }
+
+  const SegTree& tree() const { return pruned_; }
+
+ private:
+  static SegTreeOptions Options(bool graft, bool distance_bound) {
+    SegTreeOptions options;
+    options.graft_on_delete = graft;
+    options.use_distance_bound = distance_bound;
+    return options;
+  }
+
+  void Check() const {
+    pruned_.CheckInvariants();
+    exhaustive_.CheckInvariants();
+    for (ObjectId o : objects_) {
+      EXPECT_EQ(pruned_.RelevantSegments(o, now_, kTau),
+                exhaustive_.RelevantSegments(o, now_, kTau))
+          << "object " << o;
+    }
+  }
+
+  SegTree pruned_;
+  SegTree exhaustive_;
+  std::set<ObjectId> objects_;
+  Timestamp now_ = 0;
+};
+
+TEST(SegTreeSkipTest, LongSegmentIsOneJump) {
+  // A lone 40-object segment is one unary run: the search from its first
+  // object pops the start node and lands on the tail in one jump.
+  SkipTwins twins;
+  twins.Insert(1, Chain(100, 139), 0);
+  EXPECT_LE(twins.Visits(100), 2u);
+  EXPECT_LE(twins.Visits(120), 2u);
+  EXPECT_EQ(twins.Relevant(100), (std::vector<SegmentId>{1}));
+  EXPECT_EQ(twins.Relevant(139), (std::vector<SegmentId>{1}));
+  EXPECT_EQ(twins.tree().num_nodes(), 40u);
+}
+
+TEST(SegTreeSkipTest, BranchSplitsRunAndRemovalMergesIt) {
+  SkipTwins twins;
+  twins.Insert(1, Chain(100, 139), 0);
+  // Shares 100..119, then branches: node 119 now has two children.
+  twins.Insert(2, Join(Chain(100, 119), Chain(200, 209)), 10);
+  EXPECT_EQ(twins.tree().num_nodes(), 50u);
+  EXPECT_LE(twins.Visits(100), 3u);  // start, branch point's two children
+  EXPECT_EQ(twins.Relevant(100), (std::vector<SegmentId>{1, 2}));
+  EXPECT_EQ(twins.Relevant(125), (std::vector<SegmentId>{1}));
+  EXPECT_EQ(twins.Relevant(205), (std::vector<SegmentId>{2}));
+  // Removing the branch deletes 200..209 and merges the run again.
+  twins.Remove(2);
+  EXPECT_EQ(twins.tree().num_nodes(), 40u);
+  EXPECT_LE(twins.Visits(100), 2u);
+  EXPECT_EQ(twins.Relevant(100), (std::vector<SegmentId>{1}));
+}
+
+TEST(SegTreeSkipTest, RunEndsAtTailWithChildren) {
+  SkipTwins twins;
+  twins.Insert(1, Chain(100, 119), 0);
+  // Extends segment 1's path: node 119 keeps its tail and gains a child.
+  twins.Insert(2, Chain(100, 139), 10);
+  EXPECT_LE(twins.Visits(100), 2u);
+  EXPECT_EQ(twins.Relevant(100), (std::vector<SegmentId>{1, 2}));
+  EXPECT_EQ(twins.Relevant(130), (std::vector<SegmentId>{2}));
+  // A tail mid-run splits it too; removing it merges the run again.
+  twins.Insert(3, Chain(100, 109), 20);
+  EXPECT_EQ(twins.Relevant(105), (std::vector<SegmentId>{1, 2, 3}));
+  twins.Remove(3);
+  // Segment 4 shares 110..139: its tail sits with segment 2's but does not
+  // cover 100, which lies 39 edges up against a length of 30.
+  twins.Insert(4, Chain(110, 139), 30);
+  EXPECT_EQ(twins.Relevant(100), (std::vector<SegmentId>{1, 2}));
+  EXPECT_EQ(twins.Relevant(110), (std::vector<SegmentId>{1, 2, 4}));
+  // Dropping the tail at 119 leaves one run from 100 to 139.
+  twins.Remove(1);
+  EXPECT_LE(twins.Visits(100), 2u);
+  EXPECT_EQ(twins.Relevant(100), (std::vector<SegmentId>{2}));
+  EXPECT_EQ(twins.Relevant(119), (std::vector<SegmentId>{2, 4}));
+}
+
+TEST(SegTreeSkipTest, RunsSurviveGraftAndRootReattach) {
+  SkipTwins twins;  // graft_on_delete on
+  twins.Insert(1, {1, 100, 101}, 0);
+  // Shares (100, 101) inside segment 1's branch; 102..139 run below 101.
+  twins.Insert(2, Chain(100, 139), 10);
+  // A second (100, 101) inside one unary run 2 -> 151.
+  twins.Insert(3, {2, 100, 101, 150, 151}, 20);
+  EXPECT_LE(twins.Visits(2), 2u);
+  // Deleting node 1 orphans the (100, 101, 102..139) subtree, which grafts
+  // onto segment 3's (100, 101): node 101 there becomes a branch point, so
+  // the run from 2 now ends at it.
+  twins.Remove(1);
+  EXPECT_GE(twins.tree().stats().subtrees_grafted, 1u);
+  EXPECT_EQ(twins.tree().num_nodes(), 43u);
+  EXPECT_LE(twins.Visits(102), 2u);
+  EXPECT_LE(twins.Visits(2), 3u);
+  EXPECT_EQ(twins.Relevant(100), (std::vector<SegmentId>{2, 3}));
+  // Deleting segment 3 frees 2, 150 and 151. No other 100 node exists, so
+  // the subtree goes under the root, and 101 losing its second child
+  // merges one long run 100 -> 139.
+  twins.Remove(3);
+  EXPECT_GE(twins.tree().stats().subtrees_reattached, 1u);
+  EXPECT_EQ(twins.tree().num_nodes(), 40u);
+  EXPECT_LE(twins.Visits(100), 2u);
+  EXPECT_EQ(twins.Relevant(101), (std::vector<SegmentId>{2}));
+}
+
+TEST(SegTreeSkipTest, RunSurvivesRootReattachWithoutGraft) {
+  SkipTwins twins(/*graft=*/false);
+  twins.Insert(1, {1, 100, 101}, 0);
+  twins.Insert(2, Chain(100, 139), 10);
+  twins.Insert(3, {2, 100, 101}, 20);
+  twins.Remove(1);  // (100, 101, 102..139) re-attached under the root
+  EXPECT_GE(twins.tree().stats().subtrees_reattached, 1u);
+  EXPECT_LE(twins.Visits(102), 2u);
+  EXPECT_EQ(twins.Relevant(100), (std::vector<SegmentId>{2, 3}));
+  twins.Remove(3);
+  EXPECT_EQ(twins.Relevant(139), (std::vector<SegmentId>{2}));
+}
+
+TEST(SegTreeSkipTest, ExpirySweepDeletesTopOfRun) {
+  for (const bool graft : {true, false}) {
+    SCOPED_TRACE(graft ? "graft" : "root");
+    SkipTwins twins(graft);
+    twins.Insert(1, Chain(100, 139), 0);
+    // Shares 110..139 (same tail node); 100..109 belong to segment 1 only.
+    twins.Insert(2, Chain(110, 139), kTau / 2);
+    EXPECT_LE(twins.Visits(100), 2u);
+    // Segment 1 expires: 100..109, the top of the run, are deleted and the
+    // surviving 110..139 run moves under the root.
+    EXPECT_EQ(twins.RemoveExpired(kTau + 1), 1u);
+    EXPECT_EQ(twins.tree().num_nodes(), 30u);
+    EXPECT_LE(twins.Visits(110), 2u);
+    EXPECT_EQ(twins.Relevant(110), (std::vector<SegmentId>{2}));
+    EXPECT_TRUE(twins.Relevant(100).empty());
+  }
+}
+
 TEST(SegTreeDeathTest, DuplicateIdAborts) {
   SegTree tree;
   tree.Insert(MakeSegment(1, 1, {c}, 0));
